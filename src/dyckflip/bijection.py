@@ -1,25 +1,42 @@
 """The partial-reflection map between balanced paths and unbalanced paths.
 
-Forward: decompose the path at its peaks and reflect every down segment
-upward about the horizontal line through its peak, leaving the upruns
-alone. The result never re-touches the baseline and ends at twice the
-input's maximum height. Down-starting inputs are handled by reflecting
-about the baseline, mapping, and reflecting back.
+The paper builds the forward map by decomposing an up-starting balanced
+path at its peaks and reflecting every down segment upward about the
+horizontal line through its peak, leaving the upruns alone; the inverse
+reflects back segment by segment, each time at the rightmost strict
+crossing of the current line (touch points do not count). Down-starting
+inputs are handled by reflecting about the baseline, mapping, and
+reflecting back. Both directions are computed here in closed form, in one
+linear pass each (the first-/last-passage view behind the Chung-Feller
+theorem).
 
-Inverse: reflect back down segment by segment, each time locating the
-reflection line from the current endpoint and taking the rightmost strict
-crossing of that line (touch points do not count).
+Forward, first passage. An uprun climbs from the previous peak height, the
+highest point so far (the segment before it never rises above its start),
+to a new peak, so each of its steps reaches a new strict maximum height;
+no segment step does. Keeping the upruns and flipping the segments
+therefore keeps exactly the first-passage up-steps and flips every other
+step. The peaks are the ends of the maximal runs of kept steps, and the
+image height at vertex j is 2*max(h_0..h_j) - h_j: it never re-touches the
+baseline and ends at twice the input's maximum height M.
+
+Inverse, last passage. In the image, the vertex of the global peak is the
+rightmost strict crossing b of level M, i.e. 1 + the last vertex at height
+M - 1. Before b, a kept step starts at a record height r of the preimage
+and the image never comes back down to r before b, while every flipped
+step starts at or above the image height of the next run's start.
+So the kept steps are the up-steps j < b with h_j < min(h_{j+1..b}), found
+by one suffix-minimum scan, and every other step is flipped back. The
+trace of the inverse is the trace of the forward map of its preimage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Tuple
+from itertools import accumulate
+from typing import List, Sequence, Tuple
 
-from . import decompose as _dec
 from .errors import (
-    NoCrossingError,
     NotBalancedError,
     NotUnbalancedError,
     OddLengthError,
@@ -32,6 +49,7 @@ from .path import (
     PathClass,
     classify,
     concat,
+    first_passage_runs,
     max_height,
     reflect_all,
 )
@@ -71,6 +89,36 @@ def _conjugate_trace(t: BijectionTrace) -> BijectionTrace:
     )
 
 
+def _flip_outside(steps: Sequence[int], runs: List[Tuple[int, int]]) -> List[int]:
+    out = [-s for s in steps]
+    for start, end in runs:
+        out[start:end] = [UP] * (end - start)
+    return out
+
+
+def _trace(runs: List[Tuple[int, int]], length: int, direction: Direction) -> BijectionTrace:
+    """Trace of the forward map of an up-start balanced path with these
+    first-passage runs; phi_inverse reports the trace of its preimage."""
+    b_points: List[Point] = []
+    g_points: List[Point] = []
+    top = 0
+    for start, end in runs:
+        if top:
+            # a later run starts at the previous peak height, in the image too
+            g_points.append((start, top))
+        top += end - start
+        b_points.append((end, top))
+    g_points.append((length, 2 * top))
+    b_points.reverse()
+    g_points.reverse()
+    return BijectionTrace(
+        b_points=tuple(b_points),
+        g_points=tuple(g_points),
+        reflection_lines=tuple(h for _, h in b_points),
+        direction=direction,
+    )
+
+
 def phi(p: LatticePath) -> Tuple[LatticePath, BijectionTrace]:
     """Map a balanced path to an unbalanced path of the same length."""
     if p.length == 0:
@@ -80,26 +128,8 @@ def phi(p: LatticePath) -> Tuple[LatticePath, BijectionTrace]:
     if p.steps[0] == DOWN:
         image, trace = phi(reflect_all(p))
         return reflect_all(image), _conjugate_trace(trace)
-
-    d = _dec.decompose(p)
-    steps: List[int] = []
-    seg_ends = []
-    for up_len, seg in d.parts:
-        steps.extend([UP] * up_len)
-        steps.extend(-s for s in seg.steps.steps)
-        seg_ends.append(seg.start_index + seg.steps.length)
-    image = LatticePath(tuple(steps))
-
-    ih = image.heights
-    b_points = tuple(zip(d.peak_indices, d.peak_heights))[::-1]
-    g_points = tuple((j, ih[j]) for j in seg_ends)[::-1]
-    trace = BijectionTrace(
-        b_points=b_points,
-        g_points=g_points,
-        reflection_lines=tuple(h for _, h in b_points),
-        direction=Direction.FORWARD,
-    )
-    return image, trace
+    runs = first_passage_runs(p.steps)
+    return LatticePath(tuple(_flip_outside(p.steps, runs))), _trace(runs, p.length, Direction.FORWARD)
 
 
 def phi_inverse(p: LatticePath) -> Tuple[LatticePath, BijectionTrace]:
@@ -114,115 +144,35 @@ def phi_inverse(p: LatticePath) -> Tuple[LatticePath, BijectionTrace]:
         return reflect_all(pre), _conjugate_trace(trace)
     if cls is not PathClass.UP_UNBALANCED:
         raise NotUnbalancedError(f"input path is {cls.value}, expected unbalanced")
-
-    steps = list(p.steps)
-    h = list(p.heights)
-    g = p.length
-    level = h[-1] // 2
-    b_points: List[Point] = []
-    g_points: List[Point] = [(g, h[-1])]
-    lines: List[int] = [level]
-
-    while True:
-        b = _rightmost_crossing_scan(h, level, g)
-        if b is None:
-            raise NoCrossingError(f"no crossing of level {level} left of index {g}")
-        b_points.append((b, level))
-        for j in range(b, g):
-            steps[j] = -steps[j]
-        for j in range(b + 1, g + 1):
-            h[j] = 2 * level - h[j]
-        j = b - 1
-        while j >= 0 and steps[j] == UP:
-            j -= 1
-        if j < 0:
-            break
-        g = j + 1
-        level = h[g]
-        g_points.append((g, level))
-        lines.append(level)
-
-    return (
-        LatticePath(tuple(steps)),
-        BijectionTrace(tuple(b_points), tuple(g_points), tuple(lines), Direction.INVERSE),
-    )
+    pre = phi_inverse_steps(p.steps)
+    return LatticePath(tuple(pre)), _trace(first_passage_runs(pre), p.length, Direction.INVERSE)
 
 
-def _rightmost_crossing_scan(h: List[int], level: int, search_end: int) -> int | None:
-    for j in range(search_end - 1, 0, -1):
-        if h[j] == level and (h[j - 1] - level) * (h[j + 1] - level) < 0:
-            return j
-    return None
+# --- step-level kernels: the census calls these on raw step lists ---
 
 
-# --- trace-free step-level variants, used by the exhaustive census ---
-# These deliberately re-derive the map straight from step lists so the
-# census does not pay for path objects; tests pin them to phi/phi_inverse.
+def phi_steps(steps: Sequence[int]) -> List[int]:
+    """phi on a balanced step list, without trace capture."""
+    if steps and steps[0] == DOWN:
+        return [-s for s in phi_steps([-s for s in steps])]
+    return _flip_outside(steps, first_passage_runs(steps))
 
 
-def _heights_of(steps: List[int]) -> List[int]:
-    h = [0] * (len(steps) + 1)
-    acc = 0
-    for i, s in enumerate(steps):
-        acc += s
-        h[i + 1] = acc
-    return h
-
-
-def _forward_steps(steps: List[int]) -> List[int]:
-    """phi on a raw balanced step list, without trace capture."""
-    if not steps:
-        return []
+def phi_inverse_steps(steps: Sequence[int]) -> List[int]:
+    """phi_inverse on a nonempty unbalanced step list, without trace capture."""
     if steps[0] == DOWN:
-        return [-s for s in _forward_steps([-s for s in steps])]
-    h = _heights_of(steps)
+        return [-s for s in phi_inverse_steps([-s for s in steps])]
+    h = list(accumulate(steps, initial=0))
+    # 1 + the last vertex at height M - 1 is the rightmost strict crossing
+    # of the first reflection line M = h[-1] / 2
+    b = len(h) - h[::-1].index(h[-1] // 2 - 1)
     out = [-s for s in steps]
-    # flip everything, then restore the uprun feeding each peak
-    b = max(range(len(h)), key=lambda j: (h[j], -j))
-    prev_peaks = [b]
-    while True:
-        s_idx = b
-        while s_idx > 0 and steps[s_idx - 1] == UP:
-            s_idx -= 1
-        if s_idx == 0:
-            break
-        m = max(h[: s_idx + 1])
-        b = h.index(m)
-        prev_peaks.append(b)
-    prev_y = 0
-    for b in reversed(prev_peaks):
-        y = h[b]
-        for j in range(b - (y - prev_y), b):
+    low = h[b]
+    for j in range(b - 1, -1, -1):
+        if h[j] < low:
+            low = h[j]
             out[j] = UP
-        prev_y = y
     return out
-
-
-def _inverse_steps(steps: List[int]) -> List[int]:
-    """phi_inverse on a raw unbalanced step list, without trace capture."""
-    if not steps:
-        return []
-    if sum(steps) < 0:
-        return [-s for s in _inverse_steps([-s for s in steps])]
-    out = list(steps)
-    h = _heights_of(out)
-    g = len(out)
-    level = h[-1] // 2
-    while True:
-        b = _rightmost_crossing_scan(h, level, g)
-        if b is None:
-            raise NoCrossingError(f"no crossing of level {level} left of index {g}")
-        for j in range(b, g):
-            out[j] = -out[j]
-        for j in range(b + 1, g + 1):
-            h[j] = 2 * level - h[j]
-        j = b - 1
-        while j >= 0 and out[j] == UP:
-            j -= 1
-        if j < 0:
-            return out
-        g = j + 1
-        level = h[g]
 
 
 def verify_roundtrip(p: LatticePath) -> bool:

@@ -22,9 +22,9 @@ from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .bijection import _forward_steps, _inverse_steps
+from .bijection import phi_inverse_steps, phi_steps
 from .errors import OddLengthError, RangeError
-from .path import DOWN, UP, LatticePath, PathClass, classify, unrank
+from .path import LatticePath, PathClass, classify, code_from_steps, steps_from_code, unrank
 
 MAX_BIJECTION_N = 12
 MAX_STRUCTURAL_N = 12
@@ -163,18 +163,6 @@ def _partition_bounds(total: int, partitions: int) -> List[Tuple[int, int]]:
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
-def _steps_from_code(code: int, length: int) -> List[int]:
-    return [UP if (code >> j) & 1 else DOWN for j in range(length)]
-
-
-def _code_from_steps(steps: List[int]) -> int:
-    code = 0
-    for j, s in enumerate(steps):
-        if s == UP:
-            code |= 1 << j
-    return code
-
-
 def verify_bijection(
     n: int,
     partitions: int = 1,
@@ -222,19 +210,19 @@ def verify_bijection(
 
             for off in np.flatnonzero(balanced):
                 code = clo + int(off)
-                steps = _steps_from_code(code, length)
+                steps = steps_from_code(code, length)
                 if phi_fn is None:
-                    image_steps = _forward_steps(steps)
+                    image_steps = phi_steps(steps)
                 else:
                     image_steps = list(phi_fn(unrank(length, code)).steps)
-                image_code = _code_from_steps(image_steps)
+                image_code = code_from_steps(image_steps)
                 mask = 1 << (image_code & 7)
                 if image_bitset[image_code >> 3] & mask:
                     injective = False
                     failures.append(code)
                     continue
                 image_bitset[image_code >> 3] |= mask
-                if _inverse_steps(image_steps) != steps:
+                if phi_inverse_steps(image_steps) != steps:
                     failures.append(code)
 
     unbalanced_count = up_count + down_count

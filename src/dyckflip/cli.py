@@ -4,13 +4,15 @@ Subcommands: map, invert, decompose, verify, enumerate, render, bench.
 Paths arrive as an argument or via stdin when the argument is "-", so
 `dyckflip map UDUD | dyckflip invert -` round-trips.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
+Exit codes: 0 success, 1 verification failure or stdout closed early (as
+Python itself exits on a broken pipe), 2 usage or domain error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import List, Optional
@@ -177,40 +179,54 @@ def _run_render(args: argparse.Namespace) -> int:
     return 0
 
 
+def _run(args: argparse.Namespace) -> int:
+    if args.command == "map":
+        return _run_map(args, inverse=False)
+    if args.command == "invert":
+        return _run_map(args, inverse=True)
+    if args.command == "decompose":
+        return _run_decompose(args)
+    if args.command == "verify":
+        if args.target == "bijection":
+            report = _census.verify_bijection(args.n, partitions=args.partitions)
+        else:
+            report = _census.verify_identity(args.n, mode=args.mode)
+        return _print_report(report, args.as_json)
+    if args.command == "enumerate":
+        cls = _CLASS_FILTERS[args.cls]
+        for p in _census.enumerate_class(args.length, cls):
+            print(format_path(p, args.alphabet))
+        return 0
+    if args.command == "render":
+        return _run_render(args)
+    if args.command == "bench":
+        start = time.perf_counter()
+        report = _census.verify_bijection(args.n, partitions=args.partitions)
+        elapsed = time.perf_counter() - start
+        print(
+            f"n={args.n} partitions={args.partitions} "
+            f"paths={report.total_paths} ok={str(report.ok).lower()} "
+            f"elapsed={elapsed:.3f}s"
+        )
+        return 0 if report.ok else 1
+    raise AssertionError(f"unhandled command {args.command}")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "map":
-            return _run_map(args, inverse=False)
-        if args.command == "invert":
-            return _run_map(args, inverse=True)
-        if args.command == "decompose":
-            return _run_decompose(args)
-        if args.command == "verify":
-            if args.target == "bijection":
-                report = _census.verify_bijection(args.n, partitions=args.partitions)
-            else:
-                report = _census.verify_identity(args.n, mode=args.mode)
-            return _print_report(report, args.as_json)
-        if args.command == "enumerate":
-            cls = _CLASS_FILTERS[args.cls]
-            for p in _census.enumerate_class(args.length, cls):
-                print(format_path(p, args.alphabet))
-            return 0
-        if args.command == "render":
-            return _run_render(args)
-        if args.command == "bench":
-            start = time.perf_counter()
-            report = _census.verify_bijection(args.n, partitions=args.partitions)
-            elapsed = time.perf_counter() - start
-            print(
-                f"n={args.n} partitions={args.partitions} "
-                f"paths={report.total_paths} ok={str(report.ok).lower()} "
-                f"elapsed={elapsed:.3f}s"
-            )
-            return 0 if report.ok else 1
-        raise AssertionError(f"unhandled command {args.command}")
+        code = _run(args)
+        # surface a closed pipe here rather than in the interpreter's final flush
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away (`dyckflip enumerate --len 30 | head`): point
+        # stdout at devnull so nothing is written or raised on the way out
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (DomainError, ParseError, RangeError, ValidationError) as exc:
         kind = getattr(exc, "reason", type(exc).__name__.removesuffix("Error"))
         print(f"error: {kind}: {exc}", file=sys.stderr)

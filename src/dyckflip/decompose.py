@@ -23,7 +23,7 @@ from .errors import (
     NotBalancedError,
     ValidationError,
 )
-from .path import DOWN, UP, LatticePath
+from .path import DOWN, UP, LatticePath, first_passage_runs
 
 
 class SegmentKind(Enum):
@@ -55,25 +55,15 @@ class Decomposition:
 
 
 def find_peaks(p: LatticePath) -> List[int]:
-    """Peak vertex indices in discovery order (global maximum first).
+    """Peak vertex indices of an up-starting path in discovery order
+    (global maximum first).
 
-    The global maximum (leftmost if tied) comes first; each later peak is
-    the leftmost highest vertex of the prefix that ends where the previous
-    peak's final ascent begins. Discovery stops once no downstep remains to
-    the left.
+    The peaks are the ends of the maximal runs of first-passage up-steps:
+    the leftmost vertex at the global maximum, then, for each earlier run,
+    the leftmost highest vertex of the prefix that ends where the next
+    run's climb begins.
     """
-    h = p.heights
-    peaks = []
-    b = max(range(len(h)), key=lambda j: (h[j], -j))
-    while True:
-        peaks.append(b)
-        s = b
-        while s > 0 and p.steps[s - 1] == UP:
-            s -= 1
-        if s == 0:
-            return peaks
-        m = max(h[: s + 1])
-        b = h.index(m)
+    return [end for _, end in reversed(first_passage_runs(p.steps))]
 
 
 def decompose(p: LatticePath) -> Decomposition:

@@ -48,4 +48,5 @@ class PreconditionError(ValueError):
 
 
 class NoCrossingError(RuntimeError):
-    """Defensive: the inverse map found no crossing. Unreachable for valid input."""
+    """No crossing of a reflection line was found. Nothing raises it since the
+    inverse is computed in closed form; kept for callers that catch it."""

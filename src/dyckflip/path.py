@@ -1,6 +1,6 @@
 """Step/path representation in rotated coordinates, plus the primitives
 everything else is built from: classification, reflections, concatenation,
-crossing search and rank/unrank enumeration support.
+crossing search, the first-passage pass and rank/unrank enumeration support.
 
 A path lives on the rotated lattice where the diagonal is horizontal: every
 step moves one unit right and one unit up (+1) or down (-1). The height
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ParseError, RangeError
 
@@ -179,24 +179,60 @@ def rightmost_crossing(p: LatticePath, level: int, search_end: int) -> Optional[
     return None
 
 
+def first_passage_runs(steps: Sequence[int]) -> List[Tuple[int, int]]:
+    """Maximal runs of first-passage up-steps, left to right, as
+    (start, end) vertex index pairs.
+
+    A first-passage up-step reaches a new strict maximum height. The runs
+    climb from 0 to the maximum height one level per step, so the vertex
+    `end` of a run sits at the total length of the runs up to and including
+    it, and its vertex `start` at the total length of the runs before it.
+    """
+    runs = []
+    h = top = 0
+    start = -1
+    for j, s in enumerate(steps):
+        h += s
+        if h > top:
+            top = h
+            if start < 0:
+                start = j
+        elif start >= 0:
+            runs.append((start, j))
+            start = -1
+    if start >= 0:
+        runs.append((start, len(steps)))
+    return runs
+
+
+def steps_from_code(code: int, length: int) -> List[int]:
+    """Step list whose step j is Up iff bit j of code is set (no range check)."""
+    return [UP if (code >> j) & 1 else DOWN for j in range(length)]
+
+
+def code_from_steps(steps: Iterable[int]) -> int:
+    """Inverse of steps_from_code: the bitmask code of a step list."""
+    code = 0
+    for j, s in enumerate(steps):
+        if s == UP:
+            code |= 1 << j
+    return code
+
+
 def unrank(length: int, code: int) -> LatticePath:
     """Path of the given length whose step j is Up iff bit j of code is set."""
     if not 0 <= length <= MAX_RANK_LENGTH:
         raise RangeError(f"length must be in [0, {MAX_RANK_LENGTH}], got {length}")
     if not 0 <= code < (1 << length):
         raise RangeError(f"code {code} out of range for length {length}")
-    return LatticePath(tuple(UP if (code >> j) & 1 else DOWN for j in range(length)))
+    return LatticePath(tuple(steps_from_code(code, length)))
 
 
 def rank(p: LatticePath) -> int:
     """Inverse of unrank: the bitmask code of a path."""
     if p.length > MAX_RANK_LENGTH:
         raise RangeError(f"length must be <= {MAX_RANK_LENGTH}, got {p.length}")
-    code = 0
-    for j, s in enumerate(p.steps):
-        if s == UP:
-            code |= 1 << j
-    return code
+    return code_from_steps(p.steps)
 
 
 def all_paths(length: int) -> Iterator[LatticePath]:

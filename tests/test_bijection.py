@@ -1,5 +1,8 @@
+from itertools import combinations
+from math import comb
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyckflip import (
@@ -20,10 +23,12 @@ from dyckflip import (
     phi,
     phi_inverse,
     reflect_all,
+    reflect_segment,
+    rightmost_crossing,
     unrank,
     verify_roundtrip,
 )
-from dyckflip.bijection import _forward_steps, _inverse_steps
+from dyckflip.bijection import phi_inverse_steps, phi_steps
 
 
 def paths_of_class(length, cls):
@@ -31,6 +36,27 @@ def paths_of_class(length, cls):
         p = unrank(length, code)
         if classify(p) is cls:
             yield p
+
+
+def all_balanced(length):
+    for ups in combinations(range(length), length // 2):
+        steps = [-1] * length
+        for j in ups:
+            steps[j] = 1
+        yield LatticePath(tuple(steps))
+
+
+def all_up_unbalanced(length):
+    # depth-first over prefixes that stay strictly above the baseline
+    def extend(prefix, h):
+        if len(prefix) == length:
+            yield LatticePath(prefix)
+            return
+        for s in (1, -1):
+            if h + s > 0:
+                yield from extend(prefix + (s,), h + s)
+
+    yield from extend((), 0)
 
 
 def balanced_paths(draw_length=12):
@@ -184,9 +210,9 @@ class TestInvariants:
             p = unrank(length, code)
             cls = classify(p)
             if cls is PathClass.BALANCED:
-                assert tuple(_forward_steps(list(p.steps))) == phi(p)[0].steps
+                assert tuple(phi_steps(list(p.steps))) == phi(p)[0].steps
             elif cls is not PathClass.OTHER:
-                assert tuple(_inverse_steps(list(p.steps))) == phi_inverse(p)[0].steps
+                assert tuple(phi_inverse_steps(list(p.steps))) == phi_inverse(p)[0].steps
 
 
 class TestComposeLaw:
@@ -226,3 +252,136 @@ class TestComposeLaw:
                     for t2 in balanced[L2]:
                         if max_height(t2)[0] <= m1:
                             assert compose_law_check(t1, t2)
+
+
+# --- differential tests against the paper's construction ---
+
+
+def _trace_fields(trace):
+    return trace.b_points, trace.g_points, trace.reflection_lines, trace.conjugated
+
+
+def _conjugate_fields(fields):
+    b_points, g_points, lines, _ = fields
+    return (
+        tuple((i, -h) for i, h in b_points),
+        tuple((i, -h) for i, h in g_points),
+        tuple(-lvl for lvl in lines),
+        True,
+    )
+
+
+def reference_phi(p):
+    """phi as the paper builds it: decompose at the peaks, reflect every
+    segment about its peak line and recompose."""
+    if p.steps[0] == -1:
+        image, fields = reference_phi(reflect_all(p))
+        return reflect_all(image), _conjugate_fields(fields)
+    d = decompose(p)
+    steps = []
+    seg_ends = []
+    for up_len, seg in d.parts:
+        steps.extend([1] * up_len)
+        steps.extend(-s for s in seg.steps.steps)
+        seg_ends.append(seg.start_index + seg.steps.length)
+    image = LatticePath(tuple(steps))
+    b_points = tuple(zip(d.peak_indices, d.peak_heights))[::-1]
+    g_points = tuple((j, image.heights[j]) for j in seg_ends)[::-1]
+    return image, (b_points, g_points, tuple(h for _, h in b_points), False)
+
+
+def reference_phi_inverse(p):
+    """phi_inverse by unwinding one reflection at a time, each at the
+    rightmost strict crossing of its line left of the current endpoint."""
+    if p.steps[0] == -1:
+        pre, fields = reference_phi_inverse(reflect_all(p))
+        return reflect_all(pre), _conjugate_fields(fields)
+    g = p.length
+    level = p.end_height // 2
+    b_points = []
+    g_points = [(g, p.end_height)]
+    lines = [level]
+    while True:
+        b = rightmost_crossing(p, level, g)
+        b_points.append((b, level))
+        p = reflect_segment(p, b, g)
+        j = b - 1
+        while j >= 0 and p.steps[j] == 1:
+            j -= 1
+        if j < 0:
+            break
+        g = j + 1
+        level = p.heights[g]
+        g_points.append((g, level))
+        lines.append(level)
+    return p, (tuple(b_points), tuple(g_points), tuple(lines), False)
+
+
+class TestAgainstPeakConstruction:
+    @pytest.mark.parametrize("length", range(2, 17, 2))
+    def test_phi_exhaustive(self, length):
+        count = 0
+        for p in all_balanced(length):
+            image, trace = phi(p)
+            ref_image, ref_fields = reference_phi(p)
+            assert image == ref_image
+            assert _trace_fields(trace) == ref_fields
+            count += 1
+        assert count == comb(length, length // 2)
+
+    @pytest.mark.parametrize("length", range(2, 17, 2))
+    def test_phi_inverse_exhaustive(self, length):
+        count = 0
+        for q in all_up_unbalanced(length):
+            for p in (q, reflect_all(q)):
+                pre, trace = phi_inverse(p)
+                ref_pre, ref_fields = reference_phi_inverse(p)
+                assert pre == ref_pre
+                assert _trace_fields(trace) == ref_fields
+            count += 1
+        assert 2 * count == comb(length, length // 2)
+
+
+@st.composite
+def long_balanced(draw):
+    n = draw(st.integers(500, 5000))
+    steps = [1] * n + [-1] * n
+    draw(st.randoms(use_true_random=False)).shuffle(steps)
+    return LatticePath(tuple(steps))
+
+
+@st.composite
+def long_up_unbalanced(draw):
+    length = 2 * draw(st.integers(500, 5000))
+    rng = draw(st.randoms(use_true_random=False))
+    steps = [1]
+    h = 1
+    for _ in range(length - 1):
+        s = rng.choice((1, -1)) if h > 1 else 1
+        steps.append(s)
+        h += s
+    return LatticePath(tuple(steps))
+
+
+class TestLongPaths:
+    @settings(max_examples=20, deadline=None)
+    @given(long_balanced())
+    def test_balanced(self, p):
+        image, trace = phi(p)
+        assert phi_inverse(image)[0] == p
+        if p.steps[0] == 1:
+            assert classify(image) is PathClass.UP_UNBALANCED
+            assert image.end_height == 2 * max_height(p)[0]
+            assert decompose(p).peak_indices == tuple(i for i, _ in reversed(trace.b_points))
+        else:
+            assert classify(image) is PathClass.DOWN_UNBALANCED
+            assert image.end_height == -2 * max_height(reflect_all(p))[0]
+
+    @settings(max_examples=20, deadline=None)
+    @given(long_up_unbalanced())
+    def test_unbalanced(self, q):
+        for p in (q, reflect_all(q)):
+            pre, _ = phi_inverse(p)
+            assert classify(pre) is PathClass.BALANCED
+            assert pre.steps[0] == p.steps[0]
+            assert phi(pre)[0] == p

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import pytest
 from dyckflip.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -81,6 +85,48 @@ class TestStdinPiping:
             code, out, _ = run(capsys, "invert", "-")
             assert code == 0
             assert out == text + "\n"
+
+
+class TestBrokenPipe:
+    def test_write_to_closed_stdout_exits_quietly(self, capsys, monkeypatch, tmp_path):
+        class ClosedPipe:
+            def __init__(self, fd):
+                self.fd = fd
+
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return self.fd
+
+        with open(tmp_path / "stdout", "w") as fh:
+            monkeypatch.setattr("sys.stdout", ClosedPipe(fh.fileno()))
+            assert main(["enumerate", "--len", "4"]) == 1
+            # the descriptor behind stdout now points at the null device
+            assert os.fstat(fh.fileno()).st_ino == os.stat(os.devnull).st_ino
+        assert capsys.readouterr().err == ""
+
+    def test_reader_closing_the_pipe(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "dyckflip.cli", "enumerate", "--len", "30"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        try:
+            assert proc.stdout.readline() == b"DDDDDDDDDDDDDDDDDDDDDDDDDDDDDD\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+        assert err == b""
 
 
 class TestJsonOutput:
