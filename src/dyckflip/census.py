@@ -17,19 +17,24 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Literal, Optional, Tuple
 
 import numpy as np
 
 from .bijection import phi_inverse_steps, phi_steps
 from .errors import OddLengthError, RangeError
-from .path import LatticePath, PathClass, classify, code_from_steps, steps_from_code, unrank
+from .path import LatticePath, PathClass, all_paths, classify, code_from_steps, steps_from_code
 
 MAX_BIJECTION_N = 12
 MAX_STRUCTURAL_N = 12
 MAX_ARITHMETIC_N = 10_000
+# codes per chunk of a sweep; a multiple of 8, so every chunk but the last
+# fills whole bytes of the bijection sweep's bitsets
 _CHUNK = 1 << 16
+
+IdentityMode = Literal["arithmetic", "structural"]
 
 
 def binomial(n: int, k: int) -> int:
@@ -63,8 +68,7 @@ def enumerate_class(length: int, cls: Optional[PathClass] = None) -> Iterator[La
     """All paths of the given length matching the class filter, in rank order."""
     if not 0 <= length <= 30:
         raise RangeError(f"length must be in [0, 30], got {length}")
-    for code in range(1 << length):
-        p = unrank(length, code)
+    for p in all_paths(length):
         if cls is None or classify(p) is cls:
             yield p
 
@@ -150,33 +154,32 @@ def identity_lhs(n: int) -> int:
     return sum(_central_binomial(i) * _central_binomial(n - i) for i in range(n + 1))
 
 
-def _height_matrix(lo: int, hi: int, length: int) -> np.ndarray:
-    codes = np.arange(lo, hi, dtype=np.int64)
-    bits = ((codes[:, None] >> np.arange(length, dtype=np.int64)) & 1).astype(np.int8)
-    return np.cumsum(2 * bits - 1, axis=1, dtype=np.int16)
+def _height_chunks(length: int) -> Iterator[Tuple[int, np.ndarray]]:
+    """(first code, heights) for consecutive chunks of all 2^length codes, in
+    rank order. Row r of heights is the path of code first + r; column c is
+    its height after step c."""
+    shifts = np.arange(length, dtype=np.int64)
+    total = 1 << length
+    for lo in range(0, total, _CHUNK):
+        codes = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
+        bits = ((codes[:, None] >> shifts) & 1).astype(np.int8)
+        heights = np.cumsum(2 * bits - 1, axis=1, dtype=np.int16)
+        # a suspended generator keeps its locals alive; drop the temporaries
+        # so they do not add to the peak memory of the caller's chunk work
+        del codes, bits
+        yield lo, heights
 
 
-def _partition_bounds(total: int, partitions: int) -> List[Tuple[int, int]]:
-    if partitions < 1:
-        raise RangeError(f"partitions must be >= 1, got {partitions}")
-    step = -(-total // partitions)
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-
-
-def verify_bijection(
-    n: int,
-    partitions: int = 1,
-    phi_fn: Optional[Callable[[LatticePath], LatticePath]] = None,
-) -> CensusReport:
+def verify_bijection(n: int) -> CensusReport:
     """Sweep all 2^(2n) paths and verify the bijection exhaustively.
 
-    The rank space is cut into `partitions` disjoint intervals; each
-    partition tallies classes, maps its balanced paths, marks images in a
-    local bitset and round-trips them. Partition results are merged in rank
-    order, so the report does not depend on the partition count.
-
-    phi_fn substitutes the forward map (fault injection in tests); the
-    round trip still checks against the true inverse.
+    One pass over the rank space counts the balanced and the unbalanced
+    paths and marks the unbalanced ones in a bitset. Every balanced path is
+    mapped; its image is marked in a second bitset (a mark already set is
+    an injectivity failure), checked to be unbalanced and mapped back, and
+    the path is listed in roundtrip_failures unless it comes back
+    unchanged. The map is a bijection iff it is injective, every round trip
+    succeeds, the two bitsets are equal and both sides count C(2n, n).
     """
     if not 1 <= n <= MAX_BIJECTION_N:
         raise RangeError(f"n must be in [1, {MAX_BIJECTION_N}], got {n}")
@@ -185,47 +188,36 @@ def verify_bijection(
     total = 1 << length
 
     balanced_count = 0
-    up_count = 0
-    down_count = 0
+    unbalanced_count = 0
     nbytes = (total + 7) // 8
     image_bitset = bytearray(nbytes)
     unbalanced_bitset = bytearray(nbytes)
     injective = True
     failures: List[int] = []
 
-    for lo, hi in _partition_bounds(total, partitions):
-        for clo in range(lo, hi, _CHUNK):
-            chi = min(clo + _CHUNK, hi)
-            hs = _height_matrix(clo, chi, length)
-            balanced = hs[:, -1] == 0
-            positive = (hs > 0).all(axis=1)
-            negative = (hs < 0).all(axis=1)
-            balanced_count += int(balanced.sum())
-            up_count += int(positive.sum())
-            down_count += int(negative.sum())
+    for lo, hs in _height_chunks(length):
+        balanced = hs[:, -1] == 0
+        unbalanced = (hs > 0).all(axis=1) | (hs < 0).all(axis=1)
+        balanced_count += int(balanced.sum())
+        unbalanced_count += int(unbalanced.sum())
+        packed = np.packbits(unbalanced, bitorder="little").tobytes()
+        unbalanced_bitset[lo >> 3 : (lo >> 3) + len(packed)] = packed
 
-            for off in np.flatnonzero(positive | negative):
-                code = clo + int(off)
-                unbalanced_bitset[code >> 3] |= 1 << (code & 7)
+        for code in (lo + np.flatnonzero(balanced)).tolist():
+            steps = steps_from_code(code, length)
+            image_steps = phi_steps(steps)
+            image_code = code_from_steps(image_steps)
+            mask = 1 << (image_code & 7)
+            if image_bitset[image_code >> 3] & mask:
+                injective = False
+                failures.append(code)
+                continue
+            image_bitset[image_code >> 3] |= mask
+            # an image that returns to height 0 is not unbalanced and has no
+            # preimage to round-trip to
+            if 0 in accumulate(image_steps) or phi_inverse_steps(image_steps) != steps:
+                failures.append(code)
 
-            for off in np.flatnonzero(balanced):
-                code = clo + int(off)
-                steps = steps_from_code(code, length)
-                if phi_fn is None:
-                    image_steps = phi_steps(steps)
-                else:
-                    image_steps = list(phi_fn(unrank(length, code)).steps)
-                image_code = code_from_steps(image_steps)
-                mask = 1 << (image_code & 7)
-                if image_bitset[image_code >> 3] & mask:
-                    injective = False
-                    failures.append(code)
-                    continue
-                image_bitset[image_code >> 3] |= mask
-                if phi_inverse_steps(image_steps) != steps:
-                    failures.append(code)
-
-    unbalanced_count = up_count + down_count
     surjective = image_bitset == unbalanced_bitset
     counts_ok = balanced_count == unbalanced_count == comb(2 * n, n)
     bijection_ok = injective and surjective and counts_ok and not failures
@@ -243,12 +235,7 @@ def verify_bijection(
     )
 
 
-class IdentityMode:
-    ARITHMETIC = "arithmetic"
-    STRUCTURAL = "structural"
-
-
-def verify_identity(n: int, mode: str = IdentityMode.ARITHMETIC) -> CensusReport:
+def verify_identity(n: int, mode: IdentityMode = "arithmetic") -> CensusReport:
     """Check the central-binomial convolution identity for one n.
 
     Arithmetic mode evaluates both sides with exact integers. Structural
@@ -256,7 +243,7 @@ def verify_identity(n: int, mode: str = IdentityMode.ARITHMETIC) -> CensusReport
     0 and compares the per-prefix-length tallies with the binomial products.
     """
     start = time.perf_counter()
-    if mode == IdentityMode.ARITHMETIC:
+    if mode == "arithmetic":
         if not 0 <= n <= MAX_ARITHMETIC_N:
             raise RangeError(f"arithmetic mode requires n in [0, {MAX_ARITHMETIC_N}], got {n}")
         lhs = identity_lhs(n)
@@ -271,7 +258,7 @@ def verify_identity(n: int, mode: str = IdentityMode.ARITHMETIC) -> CensusReport
             roundtrip_failures=(),
             elapsed=time.perf_counter() - start,
         )
-    if mode != IdentityMode.STRUCTURAL:
+    if mode != "structural":
         raise RangeError(f"unknown identity mode {mode!r}")
 
     if not 0 <= n <= MAX_STRUCTURAL_N:
@@ -281,9 +268,7 @@ def verify_identity(n: int, mode: str = IdentityMode.ARITHMETIC) -> CensusReport
     if length == 0:
         tallies[0] = 1
     else:
-        for clo in range(0, 1 << length, _CHUNK):
-            chi = min(clo + _CHUNK, 1 << length)
-            hs = _height_matrix(clo, chi, length)
+        for _, hs in _height_chunks(length):
             zeros = hs == 0
             rev = zeros[:, ::-1]
             has_zero = rev.any(axis=1)

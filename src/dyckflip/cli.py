@@ -62,7 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = verify.add_subparsers(dest="target", required=True)
     vb = vsub.add_parser("bijection", help="exhaustive bijectivity sweep")
     vb.add_argument("--n", type=int, required=True)
-    vb.add_argument("--partitions", type=int, default=1)
     vb.add_argument("--json", action="store_true", dest="as_json")
     vi = vsub.add_parser("identity", help="central binomial convolution identity")
     vi.add_argument("--n", type=int, required=True)
@@ -82,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="time the exhaustive bijection sweep")
     bench.add_argument("--n", type=int, required=True)
-    bench.add_argument("--partitions", type=int, default=1)
 
     return parser
 
@@ -188,7 +186,7 @@ def _run(args: argparse.Namespace) -> int:
         return _run_decompose(args)
     if args.command == "verify":
         if args.target == "bijection":
-            report = _census.verify_bijection(args.n, partitions=args.partitions)
+            report = _census.verify_bijection(args.n)
         else:
             report = _census.verify_identity(args.n, mode=args.mode)
         return _print_report(report, args.as_json)
@@ -201,11 +199,10 @@ def _run(args: argparse.Namespace) -> int:
         return _run_render(args)
     if args.command == "bench":
         start = time.perf_counter()
-        report = _census.verify_bijection(args.n, partitions=args.partitions)
+        report = _census.verify_bijection(args.n)
         elapsed = time.perf_counter() - start
         print(
-            f"n={args.n} partitions={args.partitions} "
-            f"paths={report.total_paths} ok={str(report.ok).lower()} "
+            f"n={args.n} paths={report.total_paths} ok={str(report.ok).lower()} "
             f"elapsed={elapsed:.3f}s"
         )
         return 0 if report.ok else 1

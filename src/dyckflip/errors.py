@@ -45,8 +45,3 @@ class ValidationError(ValueError):
 
 class PreconditionError(ValueError):
     """Raised when a named precondition of a check is not met."""
-
-
-class NoCrossingError(RuntimeError):
-    """No crossing of a reflection line was found. Nothing raises it since the
-    inverse is computed in closed form; kept for callers that catch it."""

@@ -58,10 +58,6 @@ class LatticePath:
             raise ValueError("steps must be +1 (Up) or -1 (Down)")
         object.__setattr__(self, "steps", cleaned)
 
-    @classmethod
-    def from_steps(cls, steps: Iterable[int]) -> "LatticePath":
-        return cls(tuple(steps))
-
     @cached_property
     def heights(self) -> Tuple[int, ...]:
         h = [0]
@@ -84,9 +80,6 @@ class LatticePath:
 
     def __str__(self) -> str:
         return format_path(self) or "(empty)"
-
-
-EMPTY = LatticePath(())
 
 
 def parse_path(text: str, alphabet: str = "ud") -> LatticePath:

@@ -22,9 +22,7 @@ class RenderSpec:
     trace: Optional[BijectionTrace] = None
     cell_size: int = 10
     show_axes: bool = False
-    show_peaks: bool = True
     show_lines: bool = True
-    label_points: bool = True
 
     def __post_init__(self) -> None:
         if self.cell_size < 1:
@@ -61,7 +59,7 @@ def render_ascii(spec: RenderSpec) -> str:
     for j, s in enumerate(p.steps):
         grid[bands[j]][j] = "/" if s == UP else "\\"
 
-    if spec.trace is not None and spec.show_peaks:
+    if spec.trace is not None:
         for idx, height in spec.trace.b_points:
             if not 1 <= idx < p.length:
                 continue
@@ -114,15 +112,12 @@ def render_svg(spec: RenderSpec) -> str:
             )
     points = " ".join(f"{j * cell},{y(h[j])}" for j in range(p.length + 1))
     parts.append(f'<polyline points="{points}" fill="none" stroke="black" stroke-width="2" />')
-    if spec.trace is not None and spec.show_peaks:
+    if spec.trace is not None:
         for tag, pts in (("B", spec.trace.b_points), ("G", spec.trace.g_points)):
             for k, (idx, level) in enumerate(pts, start=1):
                 cx = idx * cell
                 cy = y(level)
                 parts.append(f'<circle cx="{cx}" cy="{cy}" r="3" fill="blue" />')
-                if spec.label_points:
-                    parts.append(
-                        f'<text x="{cx + 4}" y="{cy - 4}" font-size="10">{tag}{k}</text>'
-                    )
+                parts.append(f'<text x="{cx + 4}" y="{cy - 4}" font-size="10">{tag}{k}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

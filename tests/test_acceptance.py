@@ -6,11 +6,14 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the summary lines.
 
 import sys
 import xml.etree.ElementTree as ET
+from itertools import combinations
 from math import comb
 from pathlib import Path
 
 from dyckflip import (
+    LatticePath,
     PathClass,
+    census,
     classify,
     compose_law_check,
     decompose,
@@ -41,6 +44,16 @@ def balanced_codes(length):
         p = unrank(length, code)
         if classify(p) is PathClass.BALANCED:
             yield p
+
+
+def up_start_balanced(length):
+    """The balanced paths of the given length whose first step is Up, built
+    directly: step 0 is Up and so are length/2 - 1 of the steps after it."""
+    for ups in combinations(range(1, length), length // 2 - 1):
+        steps = [-1] * length
+        for j in (0, *ups):
+            steps[j] = 1
+        yield LatticePath(tuple(steps))
 
 
 def test_criterion_1_bijectivity_exhaustive():
@@ -75,9 +88,7 @@ def test_criterion_3_identity_structural():
 def test_criterion_4_endpoint_law():
     ok = True
     for length in range(2, 21, 2):
-        for p in balanced_codes(length):
-            if p.steps[0] != 1:
-                continue
+        for p in up_start_balanced(length):
             image, _ = phi(p)
             ok &= image.end_height == 2 * max_height(p)[0]
     report("4 endpoint law, lengths <= 20", ok)
@@ -127,16 +138,17 @@ def test_criterion_6_composition_law():
 def test_criterion_7_decomposition_roundtrip():
     ok = True
     for length in range(2, 21, 2):
-        for p in balanced_codes(length):
-            if p.steps[0] != 1:
-                continue
+        for p in up_start_balanced(length):
             ok &= recompose(decompose(p)) == p
     report("7 decomposition round trip, lengths <= 20", ok)
 
 
-def test_criterion_8_partition_determinism():
-    reports = [verify_bijection(8, partitions=k).to_kv() for k in (1, 4, 16)]
-    report("8 determinism under partitioning", len(set(reports)) == 1)
+def test_criterion_8_chunk_determinism(monkeypatch):
+    reports = []
+    for chunk in (8, 40, 1 << 16):
+        monkeypatch.setattr(census, "_CHUNK", chunk)
+        reports.append(verify_bijection(8).to_kv())
+    report("8 determinism under chunk size", len(set(reports)) == 1)
 
 
 def test_criterion_9_cli_golden(capsys):

@@ -8,6 +8,7 @@ from dyckflip import (
     PathClass,
     RangeError,
     binomial,
+    census,
     classify,
     concat,
     enumerate_class,
@@ -138,17 +139,28 @@ class TestVerifyBijection:
         assert report.bijection_ok
         assert report.ok
 
-    def test_corrupted_phi_detected(self):
+    def test_corrupted_phi_detected(self, monkeypatch):
         # constant-image stub: collides and never covers the codomain
-        def bad_phi(p):
-            return LatticePath((1,) * p.length)
-
-        report = verify_bijection(2, phi_fn=bad_phi)
+        monkeypatch.setattr(census, "phi_steps", lambda steps: [1] * len(steps))
+        report = verify_bijection(2)
         assert not report.bijection_ok
         assert report.roundtrip_failures
 
-    def test_partition_determinism(self):
-        reports = [verify_bijection(4, partitions=k).to_kv() for k in (1, 3, 4, 16)]
+    def test_image_not_unbalanced_reported(self, monkeypatch):
+        # the identity sends every balanced path to a balanced one, which
+        # has no preimage under the inverse
+        monkeypatch.setattr(census, "phi_steps", lambda steps: list(steps))
+        report = verify_bijection(2)
+        assert not report.bijection_ok
+        assert report.roundtrip_failures == tuple(
+            code for code in range(16) if bin(code).count("1") == 2
+        )
+
+    def test_chunk_determinism(self, monkeypatch):
+        reports = []
+        for chunk in (8, 40, 1 << 16):
+            monkeypatch.setattr(census, "_CHUNK", chunk)
+            reports.append(verify_bijection(4).to_kv())
         assert len(set(reports)) == 1
 
     def test_range_errors(self):
@@ -156,8 +168,6 @@ class TestVerifyBijection:
             verify_bijection(0)
         with pytest.raises(RangeError):
             verify_bijection(99)
-        with pytest.raises(RangeError):
-            verify_bijection(2, partitions=0)
 
 
 class TestVerifyIdentity:

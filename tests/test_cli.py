@@ -70,9 +70,10 @@ class TestExitCodes:
         assert run(capsys, "verify", "bijection", "--n", "99")[0] == 2
 
     def test_usage_error_is_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["no-such-command"])
-        assert exc.value.code == 2
+        for argv in (["no-such-command"], ["verify", "bijection", "--n", "2", "--partitions", "4"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
 
 class TestStdinPiping:
