@@ -4,11 +4,13 @@ The paper builds the forward map by decomposing an up-starting balanced
 path at its peaks and reflecting every down segment upward about the
 horizontal line through its peak, leaving the upruns alone; the inverse
 reflects back segment by segment, each time at the rightmost strict
-crossing of the current line (touch points do not count). Down-starting
-inputs are handled by reflecting about the baseline, mapping, and
-reflecting back. Both directions are computed here in closed form, in one
-linear pass each (the first-/last-passage view behind the Chung-Feller
-theorem).
+crossing of the current line (touch points do not count). A
+down-starting path is the mirror image of an up-starting one, so the
+mirror costs one sign: with s the first step, both directions find their
+kept steps on the up-start mirror s*steps, write s where the paper writes
+Up, and multiply every recorded height by s. Both directions are computed
+here in closed form, in one linear pass each (the first-/last-passage
+view behind the Chung-Feller theorem).
 
 Forward, first passage. An uprun climbs from the previous peak height, the
 highest point so far (the segment before it never rises above its start),
@@ -78,37 +80,37 @@ def _empty_trace(direction: Direction) -> BijectionTrace:
     return BijectionTrace((), (), (), direction)
 
 
-def _conjugate_trace(t: BijectionTrace) -> BijectionTrace:
-    # reflection about the baseline negates every recorded height and line
-    return BijectionTrace(
-        b_points=tuple((i, -h) for i, h in t.b_points),
-        g_points=tuple((i, -h) for i, h in t.g_points),
-        reflection_lines=tuple(-lvl for lvl in t.reflection_lines),
-        direction=t.direction,
-        conjugated=True,
-    )
+def _mirror_runs(steps: Sequence[int]) -> Tuple[int, List[Tuple[int, int]]]:
+    """Sign s of the first step (Up when there is none) and the first-passage
+    runs of the up-start mirror s*steps; only a down start is negated."""
+    if steps and steps[0] == DOWN:
+        return DOWN, first_passage_runs([-x for x in steps])
+    return UP, first_passage_runs(steps)
 
 
-def _flip_outside(steps: Sequence[int], runs: List[Tuple[int, int]]) -> List[int]:
-    out = [-s for s in steps]
+def _flip_outside(steps: Sequence[int], runs: List[Tuple[int, int]], s: int) -> List[int]:
+    out = [-x for x in steps]
     for start, end in runs:
-        out[start:end] = [UP] * (end - start)
+        out[start:end] = [s] * (end - start)
     return out
 
 
-def _trace(runs: List[Tuple[int, int]], length: int, direction: Direction) -> BijectionTrace:
-    """Trace of the forward map of an up-start balanced path with these
-    first-passage runs; phi_inverse reports the trace of its preimage."""
+def _trace(
+    runs: List[Tuple[int, int]], length: int, direction: Direction, s: int
+) -> BijectionTrace:
+    """Trace of the forward map of a balanced path whose first step is s and
+    whose up-start mirror has these first-passage runs; phi_inverse reports
+    the trace of its preimage."""
     b_points: List[Point] = []
     g_points: List[Point] = []
     top = 0
     for start, end in runs:
         if top:
             # a later run starts at the previous peak height, in the image too
-            g_points.append((start, top))
+            g_points.append((start, s * top))
         top += end - start
-        b_points.append((end, top))
-    g_points.append((length, 2 * top))
+        b_points.append((end, s * top))
+    g_points.append((length, s * 2 * top))
     b_points.reverse()
     g_points.reverse()
     return BijectionTrace(
@@ -116,6 +118,7 @@ def _trace(runs: List[Tuple[int, int]], length: int, direction: Direction) -> Bi
         g_points=tuple(g_points),
         reflection_lines=tuple(h for _, h in b_points),
         direction=direction,
+        conjugated=s == DOWN,
     )
 
 
@@ -125,11 +128,9 @@ def phi(p: LatticePath) -> Tuple[LatticePath, BijectionTrace]:
         return p, _empty_trace(Direction.FORWARD)
     if p.end_height != 0:
         raise NotBalancedError("input path must end at height 0")
-    if p.steps[0] == DOWN:
-        image, trace = phi(reflect_all(p))
-        return reflect_all(image), _conjugate_trace(trace)
-    runs = first_passage_runs(p.steps)
-    return LatticePath(tuple(_flip_outside(p.steps, runs))), _trace(runs, p.length, Direction.FORWARD)
+    s, runs = _mirror_runs(p.steps)
+    image = LatticePath(tuple(_flip_outside(p.steps, runs, s)))
+    return image, _trace(runs, p.length, Direction.FORWARD, s)
 
 
 def phi_inverse(p: LatticePath) -> Tuple[LatticePath, BijectionTrace]:
@@ -139,13 +140,11 @@ def phi_inverse(p: LatticePath) -> Tuple[LatticePath, BijectionTrace]:
     if p.length % 2:
         raise OddLengthError("unbalanced image paths have even length")
     cls = classify(p)
-    if cls is PathClass.DOWN_UNBALANCED:
-        pre, trace = phi_inverse(reflect_all(p))
-        return reflect_all(pre), _conjugate_trace(trace)
-    if cls is not PathClass.UP_UNBALANCED:
+    if cls not in (PathClass.UP_UNBALANCED, PathClass.DOWN_UNBALANCED):
         raise NotUnbalancedError(f"input path is {cls.value}, expected unbalanced")
     pre = phi_inverse_steps(p.steps)
-    return LatticePath(tuple(pre)), _trace(first_passage_runs(pre), p.length, Direction.INVERSE)
+    s, runs = _mirror_runs(pre)
+    return LatticePath(tuple(pre)), _trace(runs, p.length, Direction.INVERSE, s)
 
 
 # --- step-level kernels: the census calls these on raw step lists ---
@@ -153,25 +152,24 @@ def phi_inverse(p: LatticePath) -> Tuple[LatticePath, BijectionTrace]:
 
 def phi_steps(steps: Sequence[int]) -> List[int]:
     """phi on a balanced step list, without trace capture."""
-    if steps and steps[0] == DOWN:
-        return [-s for s in phi_steps([-s for s in steps])]
-    return _flip_outside(steps, first_passage_runs(steps))
+    s, runs = _mirror_runs(steps)
+    return _flip_outside(steps, runs, s)
 
 
 def phi_inverse_steps(steps: Sequence[int]) -> List[int]:
     """phi_inverse on a nonempty unbalanced step list, without trace capture."""
-    if steps[0] == DOWN:
-        return [-s for s in phi_inverse_steps([-s for s in steps])]
-    h = list(accumulate(steps, initial=0))
+    s = steps[0]
+    # heights of the up-start mirror s*steps
+    h = list(accumulate(steps if s == UP else [-x for x in steps], initial=0))
     # 1 + the last vertex at height M - 1 is the rightmost strict crossing
     # of the first reflection line M = h[-1] / 2
     b = len(h) - h[::-1].index(h[-1] // 2 - 1)
-    out = [-s for s in steps]
+    out = [-x for x in steps]
     low = h[b]
     for j in range(b - 1, -1, -1):
         if h[j] < low:
             low = h[j]
-            out[j] = UP
+            out[j] = s
     return out
 
 

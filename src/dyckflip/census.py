@@ -8,8 +8,11 @@ and its structural counterpart: splitting every length-2n path at its last
 visit to height 0 buckets the 4^n paths into exactly C(2i,i)*C(2n-2i,n-i)
 per prefix half-length i. Second, that the partial-reflection map is a
 bijection between balanced and unbalanced paths of each even length,
-verified by sweeping the whole rank space, marking images in a bitset and
-round-tripping every path.
+verified by sweeping the whole rank space: every balanced path is mapped,
+its image is marked in one image-seen array and mapped back, and the two
+classes are counted. Images that are all unbalanced, all distinct and as
+many as the unbalanced paths are all of them, so the counts prove that the
+map is onto.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from .path import LatticePath, PathClass, all_paths, classify, code_from_steps, 
 MAX_BIJECTION_N = 12
 MAX_STRUCTURAL_N = 12
 MAX_ARITHMETIC_N = 10_000
-# codes per chunk of a sweep; a multiple of 8, so every chunk but the last
-# fills whole bytes of the bijection sweep's bitsets
+# codes per chunk of a sweep; any size gives the same reports, it only
+# bounds the memory of one chunk's height matrix
 _CHUNK = 1 << 16
 
 IdentityMode = Literal["arithmetic", "structural"]
@@ -174,12 +177,12 @@ def verify_bijection(n: int) -> CensusReport:
     """Sweep all 2^(2n) paths and verify the bijection exhaustively.
 
     One pass over the rank space counts the balanced and the unbalanced
-    paths and marks the unbalanced ones in a bitset. Every balanced path is
-    mapped; its image is marked in a second bitset (a mark already set is
-    an injectivity failure), checked to be unbalanced and mapped back, and
-    the path is listed in roundtrip_failures unless it comes back
-    unchanged. The map is a bijection iff it is injective, every round trip
-    succeeds, the two bitsets are equal and both sides count C(2n, n).
+    paths. Every balanced path is mapped; its image must have the same
+    length and never touch height 0, must not be marked already in the one
+    image-seen array, and must map back to the path, or the path is listed
+    in roundtrip_failures. The map is a bijection iff nothing failed and
+    both sides count C(2n, n): the images are then distinct unbalanced
+    paths, as many as there are unbalanced paths, so they are all of them.
     """
     if not 1 <= n <= MAX_BIJECTION_N:
         raise RangeError(f"n must be in [1, {MAX_BIJECTION_N}], got {n}")
@@ -189,10 +192,7 @@ def verify_bijection(n: int) -> CensusReport:
 
     balanced_count = 0
     unbalanced_count = 0
-    nbytes = (total + 7) // 8
-    image_bitset = bytearray(nbytes)
-    unbalanced_bitset = bytearray(nbytes)
-    injective = True
+    seen = bytearray(total)
     failures: List[int] = []
 
     for lo, hs in _height_chunks(length):
@@ -200,27 +200,21 @@ def verify_bijection(n: int) -> CensusReport:
         unbalanced = (hs > 0).all(axis=1) | (hs < 0).all(axis=1)
         balanced_count += int(balanced.sum())
         unbalanced_count += int(unbalanced.sum())
-        packed = np.packbits(unbalanced, bitorder="little").tobytes()
-        unbalanced_bitset[lo >> 3 : (lo >> 3) + len(packed)] = packed
 
         for code in (lo + np.flatnonzero(balanced)).tolist():
             steps = steps_from_code(code, length)
             image_steps = phi_steps(steps)
-            image_code = code_from_steps(image_steps)
-            mask = 1 << (image_code & 7)
-            if image_bitset[image_code >> 3] & mask:
-                injective = False
+            # an image of another length or one that returns to height 0 is
+            # not an unbalanced path of this length: no mark, no round trip
+            if len(image_steps) != length or 0 in accumulate(image_steps):
                 failures.append(code)
                 continue
-            image_bitset[image_code >> 3] |= mask
-            # an image that returns to height 0 is not unbalanced and has no
-            # preimage to round-trip to
-            if 0 in accumulate(image_steps) or phi_inverse_steps(image_steps) != steps:
+            image_code = code_from_steps(image_steps)
+            if seen[image_code] or phi_inverse_steps(image_steps) != steps:
                 failures.append(code)
+            seen[image_code] = 1
 
-    surjective = image_bitset == unbalanced_bitset
-    counts_ok = balanced_count == unbalanced_count == comb(2 * n, n)
-    bijection_ok = injective and surjective and counts_ok and not failures
+    bijection_ok = not failures and balanced_count == unbalanced_count == comb(2 * n, n)
 
     return CensusReport(
         n=n,

@@ -145,7 +145,7 @@ def test_criterion_7_decomposition_roundtrip():
 
 def test_criterion_8_chunk_determinism(monkeypatch):
     reports = []
-    for chunk in (8, 40, 1 << 16):
+    for chunk in (7, 8, 40, 1 << 16):
         monkeypatch.setattr(census, "_CHUNK", chunk)
         reports.append(verify_bijection(8).to_kv())
     report("8 determinism under chunk size", len(set(reports)) == 1)

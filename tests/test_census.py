@@ -156,9 +156,22 @@ class TestVerifyBijection:
             code for code in range(16) if bin(code).count("1") == 2
         )
 
+    @pytest.mark.parametrize(
+        "wrong_length",
+        [lambda steps: steps + [1, 1], lambda steps: steps[:-2]],
+        ids=["longer", "shorter"],
+    )
+    def test_image_of_other_length_reported(self, monkeypatch, wrong_length):
+        # an image of another length has no code among the 2^(2n) paths
+        orig = census.phi_steps
+        monkeypatch.setattr(census, "phi_steps", lambda steps: wrong_length(orig(steps)))
+        report = verify_bijection(2)
+        assert not report.bijection_ok
+        assert report.roundtrip_failures == (3, 5, 6, 9, 10, 12)
+
     def test_chunk_determinism(self, monkeypatch):
         reports = []
-        for chunk in (8, 40, 1 << 16):
+        for chunk in (7, 8, 40, 1 << 16):
             monkeypatch.setattr(census, "_CHUNK", chunk)
             reports.append(verify_bijection(4).to_kv())
         assert len(set(reports)) == 1
