@@ -4,6 +4,7 @@ Two claims get checked here. First, the arithmetic identity
 
     sum_{i=0..n} C(2i,i) * C(2n-2i,n-i) = 4^n
 
+with the central binomials built by C(2i+2,i+1) = C(2i,i)*2(2i+1)/(i+1),
 and its structural counterpart: splitting every length-2n path at its last
 visit to height 0 buckets the 4^n paths into exactly C(2i,i)*C(2n-2i,n-i)
 per prefix half-length i. Second, that the partial-reflection map is a
@@ -12,14 +13,16 @@ verified by sweeping the whole rank space: every balanced path is mapped,
 its image is marked in one image-seen array and mapped back, and the two
 classes are counted. Images that are all unbalanced, all distinct and as
 many as the unbalanced paths are all of them, so the counts prove that the
-map is onto.
+map is onto. Both sweeps walk all codes a chunk at a time, moving one int8
+height per code by one step per column, and fold each column as they go.
 """
 
 from __future__ import annotations
 
+import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 from math import comb
 from typing import Iterator, List, Literal, Optional, Tuple
@@ -33,8 +36,8 @@ from .path import LatticePath, PathClass, all_paths, classify, code_from_steps, 
 MAX_BIJECTION_N = 12
 MAX_STRUCTURAL_N = 12
 MAX_ARITHMETIC_N = 10_000
-# codes per chunk of a sweep; any size gives the same reports, it only
-# bounds the memory of one chunk's height matrix
+# codes per chunk of the all-codes walk; any size gives the same reports,
+# it only bounds the memory of one chunk's code and height vectors
 _CHUNK = 1 << 16
 
 IdentityMode = Literal["arithmetic", "structural"]
@@ -106,27 +109,6 @@ class CensusReport:
             and not self.tally_mismatches
         )
 
-    def to_kv(self, include_elapsed: bool = False) -> str:
-        """Line-oriented key=value form. elapsed is wall-clock noise and is
-        left out by default so reports compare byte-for-byte."""
-        lines = [
-            f"n={self.n}",
-            f"total_paths={self.total_paths}",
-            f"balanced_count={self.balanced_count}",
-            f"unbalanced_count={self.unbalanced_count}",
-            f"identity_lhs={self.identity_lhs}",
-            f"identity_rhs={self.identity_rhs}",
-            f"bijection_ok={str(self.bijection_ok).lower()}",
-            "roundtrip_failures=" + ",".join(map(str, self.roundtrip_failures)),
-        ]
-        if self.structural_tallies is not None:
-            lines.append("structural_tallies=" + ",".join(map(str, self.structural_tallies)))
-            lines.append("tally_mismatches=" + ",".join(map(str, self.tally_mismatches)))
-        lines.append(f"ok={str(self.ok).lower()}")
-        if include_elapsed:
-            lines.append(f"elapsed={self.elapsed:.6f}")
-        return "\n".join(lines) + "\n"
-
     def to_json_dict(self, include_elapsed: bool = False) -> dict:
         d = {
             "n": self.n,
@@ -146,31 +128,64 @@ class CensusReport:
             d["elapsed"] = self.elapsed
         return d
 
+    def to_kv(self, include_elapsed: bool = False) -> str:
+        """Line-oriented key=value form of the JSON fields, with ok last.
+        elapsed is wall-clock noise and is left out by default so reports
+        compare byte-for-byte."""
+        fields = self.to_json_dict()
+        fields["ok"] = fields.pop("ok")
+        if include_elapsed:
+            fields["elapsed"] = f"{self.elapsed:.6f}"
+        with exact_int_str():
+            return "".join(f"{key}={_kv_text(value)}\n" for key, value in fields.items())
 
-@lru_cache(maxsize=None)
-def _central_binomial(i: int) -> int:
-    return comb(2 * i, i)
+
+def _kv_text(value: object) -> str:
+    if isinstance(value, list):
+        return ",".join(map(str, value))
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+@contextmanager
+def exact_int_str() -> Iterator[None]:
+    """Lift the interpreter-wide limit on the digits of an int turned into
+    text (4300 by default) inside the block: 4^n has more from n = 7143."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # no limit before 3.10.7
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def identity_lhs(n: int) -> int:
     """The binomial convolution sum_{i} C(2i,i) * C(2n-2i,n-i)."""
-    return sum(_central_binomial(i) * _central_binomial(n - i) for i in range(n + 1))
+    c = [1]  # c[i] = C(2i, i), by the exact recurrence
+    for i in range(n):
+        c.append(c[i] * 2 * (2 * i + 1) // (i + 1))
+    return sum(c[i] * c[n - i] for i in range(n + 1))
 
 
-def _height_chunks(length: int) -> Iterator[Tuple[int, np.ndarray]]:
-    """(first code, heights) for consecutive chunks of all 2^length codes, in
-    rank order. Row r of heights is the path of code first + r; column c is
-    its height after step c."""
-    shifts = np.arange(length, dtype=np.int64)
+def _walks(length: int) -> Iterator[Tuple[int, np.ndarray, Iterator[int]]]:
+    """(first code, h, walk) per chunk of all 2^length codes, in rank order.
+    Drawing c = 1..length from walk moves h[r], from 0, to the height of
+    code first + r after its step c."""
     total = 1 << length
     for lo in range(0, total, _CHUNK):
-        codes = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        bits = ((codes[:, None] >> shifts) & 1).astype(np.int8)
-        heights = np.cumsum(2 * bits - 1, axis=1, dtype=np.int16)
-        # a suspended generator keeps its locals alive; drop the temporaries
-        # so they do not add to the peak memory of the caller's chunk work
-        del codes, bits
-        yield lo, heights
+        # int32 holds every code up to MAX_BIJECTION_N and MAX_STRUCTURAL_N
+        codes = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int32)
+        h = np.zeros(len(codes), dtype=np.int8)
+        yield lo, h, _steps(codes, h, length)
+
+
+def _steps(codes: np.ndarray, h: np.ndarray, length: int) -> Iterator[int]:
+    for c in range(length):
+        # step c + 1 of a code is Up iff its bit c is set
+        h += 2 * ((codes >> c) & 1).astype(np.int8) - 1
+        yield c + 1
 
 
 def verify_bijection(n: int) -> CensusReport:
@@ -195,11 +210,15 @@ def verify_bijection(n: int) -> CensusReport:
     seen = bytearray(total)
     failures: List[int] = []
 
-    for lo, hs in _height_chunks(length):
-        balanced = hs[:, -1] == 0
-        unbalanced = (hs > 0).all(axis=1) | (hs < 0).all(axis=1)
+    for lo, h, walk in _walks(length):
+        touched = np.zeros(len(h), dtype=bool)
+        for _ in walk:
+            touched |= h == 0
+        # a ±1 walk cannot change sign without passing 0, so a path that
+        # never touches 0 after its start stays on one side: unbalanced
+        balanced = h == 0
         balanced_count += int(balanced.sum())
-        unbalanced_count += int(unbalanced.sum())
+        unbalanced_count += len(h) - int(touched.sum())
 
         for code in (lo + np.flatnonzero(balanced)).tolist():
             steps = steps_from_code(code, length)
@@ -232,9 +251,10 @@ def verify_bijection(n: int) -> CensusReport:
 def verify_identity(n: int, mode: IdentityMode = "arithmetic") -> CensusReport:
     """Check the central-binomial convolution identity for one n.
 
-    Arithmetic mode evaluates both sides with exact integers. Structural
-    mode enumerates all 4^n paths, splits each at its last visit to height
-    0 and compares the per-prefix-length tallies with the binomial products.
+    Arithmetic mode evaluates both sides with exact integers, the central
+    binomials by recurrence. Structural mode walks all 4^n paths column by
+    column, keeps each one's last visit to height 0 and compares the
+    per-prefix-length tallies with the binomial products.
     """
     start = time.perf_counter()
     if mode == "arithmetic":
@@ -259,17 +279,12 @@ def verify_identity(n: int, mode: IdentityMode = "arithmetic") -> CensusReport:
         raise RangeError(f"structural mode requires n in [0, {MAX_STRUCTURAL_N}], got {n}")
     length = 2 * n
     tallies = np.zeros(n + 1, dtype=np.int64)
-    if length == 0:
-        tallies[0] = 1
-    else:
-        for _, hs in _height_chunks(length):
-            zeros = hs == 0
-            rev = zeros[:, ::-1]
-            has_zero = rev.any(axis=1)
-            # column c of hs is height index c+1; argmax finds the first
-            # zero from the right, i.e. the last return to the baseline
-            last = np.where(has_zero, length - np.argmax(rev, axis=1), 0)
-            tallies += np.bincount(last // 2, minlength=n + 1)
+    for _, h, walk in _walks(length):
+        # last visit to height 0; it stays 0 for a path that never returns
+        last = np.zeros(len(h), dtype=np.int8)
+        for c in walk:
+            last[h == 0] = c
+        tallies += np.bincount(last >> 1, minlength=n + 1)
 
     expected = [comb(2 * i, i) * comb(2 * (n - i), n - i) for i in range(n + 1)]
     mismatches = tuple(i for i in range(n + 1) if int(tallies[i]) != expected[i])

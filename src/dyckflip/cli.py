@@ -150,7 +150,8 @@ def _run_decompose(args: argparse.Namespace) -> int:
 
 def _print_report(report: _census.CensusReport, as_json: bool) -> int:
     if as_json:
-        print(json.dumps(report.to_json_dict()))
+        with _census.exact_int_str():
+            print(json.dumps(report.to_json_dict()))
     else:
         sys.stdout.write(report.to_kv())
     return 0 if report.ok else 1

@@ -1,12 +1,16 @@
 import json
+import sys
+from collections import Counter
 
 import pytest
 
 from dyckflip import (
+    CensusReport,
     LatticePath,
     OddLengthError,
     PathClass,
     RangeError,
+    all_paths,
     binomial,
     census,
     classify,
@@ -176,6 +180,16 @@ class TestVerifyBijection:
             reports.append(verify_bijection(4).to_kv())
         assert len(set(reports)) == 1
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_counts_match_classify(self, n):
+        # per-path reference that does not use the all-codes walk
+        classes = Counter(classify(p) for p in all_paths(2 * n))
+        report = verify_bijection(n)
+        assert report.balanced_count == classes[PathClass.BALANCED]
+        assert report.unbalanced_count == (
+            classes[PathClass.UP_UNBALANCED] + classes[PathClass.DOWN_UNBALANCED]
+        )
+
     def test_range_errors(self):
         with pytest.raises(RangeError):
             verify_bijection(0)
@@ -205,6 +219,20 @@ class TestVerifyIdentity:
         a = verify_identity(n, "arithmetic")
         s = verify_identity(n, "structural")
         assert a.identity_lhs == s.identity_lhs == a.identity_rhs
+
+    @pytest.mark.parametrize("n", range(0, 8))
+    def test_structural_tallies_match_split(self, n):
+        # per-path reference that does not use the all-codes walk
+        tally = Counter(len(split_at_last_zero(p)[0]) // 2 for p in all_paths(2 * n))
+        expected = tuple(tally[i] for i in range(n + 1))
+        assert verify_identity(n, "structural").structural_tallies == expected
+
+    def test_structural_chunk_determinism(self, monkeypatch):
+        reports = []
+        for chunk in (7, 8, 40, 1 << 16):
+            monkeypatch.setattr(census, "_CHUNK", chunk)
+            reports.append(verify_identity(6, "structural").to_kv())
+        assert len(set(reports)) == 1
 
     def test_identity_lhs_matches_brute_sum(self):
         for n in range(0, 30):
@@ -238,6 +266,27 @@ class TestReportSerialization:
             "ok",
         ]
         assert "elapsed=" in verify_bijection(2).to_kv(include_elapsed=True)
+
+    def test_kv_past_int_digit_limit(self):
+        # 4^7200 has 4335 digits, more than the interpreter turns into text
+        # by default; the report prints them all and leaves the limit as it was
+        big = 4**7200
+        report = CensusReport(
+            n=7200,
+            total_paths=big,
+            balanced_count=1,
+            unbalanced_count=1,
+            identity_lhs=big,
+            identity_rhs=big,
+            bijection_ok=True,
+            roundtrip_failures=(),
+            elapsed=0.0,
+        )
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        fields = dict(line.split("=", 1) for line in report.to_kv().splitlines())
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        with census.exact_int_str():
+            assert fields["identity_lhs"] == fields["total_paths"] == str(big)
 
     def test_json_roundtrips_kv_fields(self):
         report = verify_identity(4, "structural")

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from dyckflip.census import MAX_ARITHMETIC_N, exact_int_str
 from dyckflip.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -74,6 +75,30 @@ class TestExitCodes:
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
+
+
+class TestArithmeticLimit:
+    # 4^n has more than the interpreter's default 4300 digits from n = 7143
+    @pytest.mark.parametrize("n", [7143, MAX_ARITHMETIC_N])
+    def test_large_n_prints_exact_values(self, capsys, n):
+        code, out, err = run(capsys, "verify", "identity", "--n", str(n), "--mode", "arithmetic")
+        assert (code, err) == (0, "")
+        fields = dict(line.split("=", 1) for line in out.splitlines())
+        with exact_int_str():
+            assert fields["identity_lhs"] == fields["identity_rhs"] == str(4**n)
+        assert fields["ok"] == "true"
+
+    def test_large_n_json(self, capsys):
+        code, out, _ = run(capsys, "verify", "identity", "--n", str(MAX_ARITHMETIC_N), "--json")
+        assert code == 0
+        with exact_int_str():
+            data = json.loads(out)
+        assert data["identity_lhs"] == data["identity_rhs"] == 4**MAX_ARITHMETIC_N
+
+    def test_past_limit_is_2(self, capsys):
+        code, out, err = run(capsys, "verify", "identity", "--n", str(MAX_ARITHMETIC_N + 1))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error: Range: ")
 
 
 class TestStdinPiping:
