@@ -9,34 +9,42 @@ down-starting path is the mirror image of an up-starting one, so the
 mirror costs one sign: with s the first step, both directions find their
 kept steps on the up-start mirror s*steps, write s where the paper writes
 Up, and multiply every recorded height by s. Both directions are computed
-here in closed form, in one linear pass each (the first-/last-passage
-view behind the Chung-Feller theorem).
+here in closed form, one numpy scan each (the first-/last-passage view
+behind the Chung-Feller theorem), by two kernels over int8 step arrays of
+shape (rows, L): phi_rows and phi_inverse_rows. phi and phi_inverse run
+them on one row, the census on a chunk of rows at once. Each also returns
+its mask of kept steps; the inverse's mask on a path is the forward map's
+on its preimage, so one trace builder serves both directions.
 
 Forward, first passage. An uprun climbs from the previous peak height, the
 highest point so far (the segment before it never rises above its start),
 to a new peak, so each of its steps reaches a new strict maximum height;
 no segment step does. Keeping the upruns and flipping the segments
-therefore keeps exactly the first-passage up-steps and flips every other
-step. The peaks are the ends of the maximal runs of kept steps, and the
-image height at vertex j is 2*max(h_0..h_j) - h_j: it never re-touches the
-baseline and ends at twice the input's maximum height M.
+therefore keeps exactly the steps where the prefix maximum of the heights
+rises, and flips every other step. The peaks are the ends of the maximal
+runs of kept steps, and the image height at vertex j is
+2*max(h_0..h_j) - h_j: it never re-touches the baseline and ends at twice
+the input's maximum height M.
 
 Inverse, last passage. In the image, the vertex of the global peak is the
 rightmost strict crossing b of level M, i.e. 1 + the last vertex at height
 M - 1. Before b, a kept step starts at a record height r of the preimage
 and the image never comes back down to r before b, while every flipped
 step starts at or above the image height of the next run's start.
-So the kept steps are the up-steps j < b with h_j < min(h_{j+1..b}), found
-by one suffix-minimum scan, and every other step is flipped back. The
-trace of the inverse is the trace of the forward map of its preimage.
+So the kept steps are the up-steps j < b with h_j < min(h_{j+1..b}), the
+steps after which the suffix minimum up to b rises, found by one scan, and
+every other step is flipped back. These are the steps the forward map
+keeps on the preimage, so the trace of the inverse is the trace of the
+forward map of its preimage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
+
+import numpy as np
 
 from .errors import (
     NotBalancedError,
@@ -46,12 +54,10 @@ from .errors import (
 )
 from .path import (
     DOWN,
-    UP,
     LatticePath,
     PathClass,
     classify,
     concat,
-    first_passage_runs,
     max_height,
     reflect_all,
 )
@@ -80,37 +86,56 @@ def _empty_trace(direction: Direction) -> BijectionTrace:
     return BijectionTrace((), (), (), direction)
 
 
-def _mirror_runs(steps: Sequence[int]) -> Tuple[int, List[Tuple[int, int]]]:
-    """Sign s of the first step (Up when there is none) and the first-passage
-    runs of the up-start mirror s*steps; only a down start is negated."""
-    if steps and steps[0] == DOWN:
-        return DOWN, first_passage_runs([-x for x in steps])
-    return UP, first_passage_runs(steps)
+def _mirror_heights(steps: np.ndarray) -> np.ndarray:
+    """Heights h_0..h_L of each row's up-start mirror s*steps, s its first
+    step; int32 holds +-L for a path of any length."""
+    h = np.zeros((steps.shape[0], steps.shape[1] + 1), dtype=np.int32)
+    np.add.accumulate(steps * steps[:, :1], axis=1, dtype=np.int32, out=h[:, 1:])
+    return h
 
 
-def _flip_outside(steps: Sequence[int], runs: List[Tuple[int, int]], s: int) -> List[int]:
-    out = [-x for x in steps]
-    for start, end in runs:
-        out[start:end] = [s] * (end - start)
-    return out
+def phi_rows(steps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """phi on every row of an int8 array of balanced step rows: the image
+    rows and the mask of kept steps."""
+    h = _mirror_heights(steps)
+    top = np.maximum.accumulate(h, axis=1, out=h)
+    kept = top[:, 1:] > top[:, :-1]
+    return np.where(kept, steps, -steps), kept
 
 
-def _trace(
-    runs: List[Tuple[int, int]], length: int, direction: Direction, s: int
-) -> BijectionTrace:
-    """Trace of the forward map of a balanced path whose first step is s and
-    whose up-start mirror has these first-passage runs; phi_inverse reports
-    the trace of its preimage."""
+def phi_inverse_rows(steps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """phi_inverse on every row of an int8 array of nonempty unbalanced step
+    rows of even length: the preimage rows and the mask of kept steps, which
+    is the mask phi_rows gives on the preimage."""
+    h = _mirror_heights(steps)
+    length = steps.shape[1]
+    # b = 1 + the last vertex at height M - 1, where M = h_L / 2
+    b = length + 1 - (h == h[:, -1:] // 2 - 1)[:, ::-1].argmax(axis=1)
+    # vertices from b on get L + 1, above every height, so they are never
+    # kept and never the minimum; h_b = M, above h_(b-1) = M - 1, never was
+    h[np.arange(length + 1) >= b[:, None]] = length + 1
+    low = np.minimum.accumulate(h[:, ::-1], axis=1, out=h[:, ::-1])[:, ::-1]
+    # h_j < min(h_(j+1..b)) iff the suffix minimum rises after vertex j
+    kept = low[:, :-1] < low[:, 1:]
+    return np.where(kept, steps, -steps), kept
+
+
+def _trace(kept: np.ndarray, direction: Direction, s: int) -> BijectionTrace:
+    """Trace of the forward map of a balanced path whose first step is s,
+    from the kept-step mask of its up-start mirror."""
+    # the first step is kept and the last is not, so the vertices where the
+    # mask changes are the end of the first run, then start, end, ...
+    edges = (np.flatnonzero(kept[1:] != kept[:-1]) + 1).tolist()
     b_points: List[Point] = []
     g_points: List[Point] = []
     top = 0
-    for start, end in runs:
+    for start, end in zip([0, *edges[1::2]], edges[::2]):
         if top:
             # a later run starts at the previous peak height, in the image too
             g_points.append((start, s * top))
         top += end - start
         b_points.append((end, s * top))
-    g_points.append((length, s * 2 * top))
+    g_points.append((len(kept), s * 2 * top))
     b_points.reverse()
     g_points.reverse()
     return BijectionTrace(
@@ -128,9 +153,8 @@ def phi(p: LatticePath) -> Tuple[LatticePath, BijectionTrace]:
         return p, _empty_trace(Direction.FORWARD)
     if p.end_height != 0:
         raise NotBalancedError("input path must end at height 0")
-    s, runs = _mirror_runs(p.steps)
-    image = LatticePath(tuple(_flip_outside(p.steps, runs, s)))
-    return image, _trace(runs, p.length, Direction.FORWARD, s)
+    image, kept = phi_rows(np.array([p.steps], dtype=np.int8))
+    return LatticePath(tuple(image[0].tolist())), _trace(kept[0], Direction.FORWARD, p.steps[0])
 
 
 def phi_inverse(p: LatticePath) -> Tuple[LatticePath, BijectionTrace]:
@@ -142,35 +166,8 @@ def phi_inverse(p: LatticePath) -> Tuple[LatticePath, BijectionTrace]:
     cls = classify(p)
     if cls not in (PathClass.UP_UNBALANCED, PathClass.DOWN_UNBALANCED):
         raise NotUnbalancedError(f"input path is {cls.value}, expected unbalanced")
-    pre = phi_inverse_steps(p.steps)
-    s, runs = _mirror_runs(pre)
-    return LatticePath(tuple(pre)), _trace(runs, p.length, Direction.INVERSE, s)
-
-
-# --- step-level kernels: the census calls these on raw step lists ---
-
-
-def phi_steps(steps: Sequence[int]) -> List[int]:
-    """phi on a balanced step list, without trace capture."""
-    s, runs = _mirror_runs(steps)
-    return _flip_outside(steps, runs, s)
-
-
-def phi_inverse_steps(steps: Sequence[int]) -> List[int]:
-    """phi_inverse on a nonempty unbalanced step list, without trace capture."""
-    s = steps[0]
-    # heights of the up-start mirror s*steps
-    h = list(accumulate(steps if s == UP else [-x for x in steps], initial=0))
-    # 1 + the last vertex at height M - 1 is the rightmost strict crossing
-    # of the first reflection line M = h[-1] / 2
-    b = len(h) - h[::-1].index(h[-1] // 2 - 1)
-    out = [-x for x in steps]
-    low = h[b]
-    for j in range(b - 1, -1, -1):
-        if h[j] < low:
-            low = h[j]
-            out[j] = s
-    return out
+    pre, kept = phi_inverse_rows(np.array([p.steps], dtype=np.int8))
+    return LatticePath(tuple(pre[0].tolist())), _trace(kept[0], Direction.INVERSE, p.steps[0])
 
 
 def verify_roundtrip(p: LatticePath) -> bool:

@@ -15,6 +15,9 @@ classes are counted. Images that are all unbalanced, all distinct and as
 many as the unbalanced paths are all of them, so the counts prove that the
 map is onto. Both sweeps walk all codes a chunk at a time, moving one int8
 height per code by one step per column, and fold each column as they go.
+The bijection sweep then decodes the chunk's balanced codes into one int8
+array of step rows and runs it through the row kernels of `bijection`,
+forward and back, the same kernels phi and phi_inverse run on one row.
 """
 
 from __future__ import annotations
@@ -23,21 +26,21 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import accumulate
 from math import comb
 from typing import Iterator, List, Literal, Optional, Tuple
 
 import numpy as np
 
-from .bijection import phi_inverse_steps, phi_steps
+from .bijection import phi_inverse_rows, phi_rows
 from .errors import OddLengthError, RangeError
-from .path import LatticePath, PathClass, all_paths, classify, code_from_steps, steps_from_code
+from .path import LatticePath, PathClass, all_paths, classify
 
 MAX_BIJECTION_N = 12
 MAX_STRUCTURAL_N = 12
 MAX_ARITHMETIC_N = 10_000
 # codes per chunk of the all-codes walk; any size gives the same reports,
-# it only bounds the memory of one chunk's code and height vectors
+# it only bounds the memory of one chunk's code and height vectors and of
+# the step and height rows of its balanced paths
 _CHUNK = 1 << 16
 
 IdentityMode = Literal["arithmetic", "structural"]
@@ -169,16 +172,16 @@ def identity_lhs(n: int) -> int:
     return sum(c[i] * c[n - i] for i in range(n + 1))
 
 
-def _walks(length: int) -> Iterator[Tuple[int, np.ndarray, Iterator[int]]]:
-    """(first code, h, walk) per chunk of all 2^length codes, in rank order.
+def _walks(length: int) -> Iterator[Tuple[np.ndarray, np.ndarray, Iterator[int]]]:
+    """(codes, h, walk) per chunk of all 2^length codes, in rank order.
     Drawing c = 1..length from walk moves h[r], from 0, to the height of
-    code first + r after its step c."""
+    codes[r] after its step c."""
     total = 1 << length
     for lo in range(0, total, _CHUNK):
         # int32 holds every code up to MAX_BIJECTION_N and MAX_STRUCTURAL_N
         codes = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int32)
         h = np.zeros(len(codes), dtype=np.int8)
-        yield lo, h, _steps(codes, h, length)
+        yield codes, h, _steps(codes, h, length)
 
 
 def _steps(codes: np.ndarray, h: np.ndarray, length: int) -> Iterator[int]:
@@ -192,11 +195,13 @@ def verify_bijection(n: int) -> CensusReport:
     """Sweep all 2^(2n) paths and verify the bijection exhaustively.
 
     One pass over the rank space counts the balanced and the unbalanced
-    paths. Every balanced path is mapped; its image must have the same
-    length and never touch height 0, must not be marked already in the one
-    image-seen array, and must map back to the path, or the path is listed
-    in roundtrip_failures. The map is a bijection iff nothing failed and
-    both sides count C(2n, n): the images are then distinct unbalanced
+    paths. The balanced paths of each chunk go through the forward kernel
+    as one array of step rows, and their images through the inverse one.
+    An image must have the shape of its input and never touch height 0,
+    must not be marked already in the one image-seen array, by an earlier
+    chunk or an earlier row, and must map back to its path, or the path is
+    listed in roundtrip_failures. The map is a bijection iff nothing failed
+    and both sides count C(2n, n): the images are then distinct unbalanced
     paths, as many as there are unbalanced paths, so they are all of them.
     """
     if not 1 <= n <= MAX_BIJECTION_N:
@@ -204,34 +209,41 @@ def verify_bijection(n: int) -> CensusReport:
     start = time.perf_counter()
     length = 2 * n
     total = 1 << length
+    bits = np.arange(length, dtype=np.int32)
 
     balanced_count = 0
     unbalanced_count = 0
-    seen = bytearray(total)
+    seen = np.zeros(total, dtype=bool)
     failures: List[int] = []
 
-    for lo, h, walk in _walks(length):
+    for codes, h, walk in _walks(length):
         touched = np.zeros(len(h), dtype=bool)
         for _ in walk:
             touched |= h == 0
         # a ±1 walk cannot change sign without passing 0, so a path that
         # never touches 0 after its start stays on one side: unbalanced
-        balanced = h == 0
-        balanced_count += int(balanced.sum())
+        balanced = codes[h == 0]
+        balanced_count += len(balanced)
         unbalanced_count += len(h) - int(touched.sum())
 
-        for code in (lo + np.flatnonzero(balanced)).tolist():
-            steps = steps_from_code(code, length)
-            image_steps = phi_steps(steps)
-            # an image of another length or one that returns to height 0 is
-            # not an unbalanced path of this length: no mark, no round trip
-            if len(image_steps) != length or 0 in accumulate(image_steps):
-                failures.append(code)
-                continue
-            image_code = code_from_steps(image_steps)
-            if seen[image_code] or phi_inverse_steps(image_steps) != steps:
-                failures.append(code)
-            seen[image_code] = 1
+        # step j of a code is Up iff its bit j is set
+        rows = ((balanced[:, None] >> bits) & 1).astype(np.int8) * 2 - 1
+        image = phi_rows(rows)[0]
+        # an image of another shape or one that returns to height 0 is not
+        # an unbalanced path of this length: no mark, no round trip
+        if image.shape != rows.shape:
+            failures += balanced.tolist()
+            continue
+        ok = (np.cumsum(image, axis=1, dtype=np.int8) != 0).all(axis=1)
+        image = image[ok]
+        image_codes = (image == 1) @ (1 << bits)
+        # a later row with the same image as an earlier one is a repeat
+        first = np.zeros(len(image_codes), dtype=bool)
+        first[np.unique(image_codes, return_index=True)[1]] = True
+        back = (phi_inverse_rows(image)[0] == rows[ok]).all(axis=1)
+        ok[ok] = first & ~seen[image_codes] & back
+        seen[image_codes] = True
+        failures += balanced[~ok].tolist()
 
     bijection_ok = not failures and balanced_count == unbalanced_count == comb(2 * n, n)
 

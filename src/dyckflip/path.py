@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ParseError, RangeError
 
@@ -53,8 +53,8 @@ class LatticePath:
     steps: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        cleaned = tuple(int(s) for s in self.steps)
-        if any(s not in (UP, DOWN) for s in cleaned):
+        cleaned = tuple(map(int, self.steps))
+        if not {UP, DOWN}.issuperset(cleaned):
             raise ValueError("steps must be +1 (Up) or -1 (Down)")
         object.__setattr__(self, "steps", cleaned)
 
@@ -198,34 +198,20 @@ def first_passage_runs(steps: Sequence[int]) -> List[Tuple[int, int]]:
     return runs
 
 
-def steps_from_code(code: int, length: int) -> List[int]:
-    """Step list whose step j is Up iff bit j of code is set (no range check)."""
-    return [UP if (code >> j) & 1 else DOWN for j in range(length)]
-
-
-def code_from_steps(steps: Iterable[int]) -> int:
-    """Inverse of steps_from_code: the bitmask code of a step list."""
-    code = 0
-    for j, s in enumerate(steps):
-        if s == UP:
-            code |= 1 << j
-    return code
-
-
 def unrank(length: int, code: int) -> LatticePath:
     """Path of the given length whose step j is Up iff bit j of code is set."""
     if not 0 <= length <= MAX_RANK_LENGTH:
         raise RangeError(f"length must be in [0, {MAX_RANK_LENGTH}], got {length}")
     if not 0 <= code < (1 << length):
         raise RangeError(f"code {code} out of range for length {length}")
-    return LatticePath(tuple(steps_from_code(code, length)))
+    return LatticePath(tuple(UP if (code >> j) & 1 else DOWN for j in range(length)))
 
 
 def rank(p: LatticePath) -> int:
     """Inverse of unrank: the bitmask code of a path."""
     if p.length > MAX_RANK_LENGTH:
         raise RangeError(f"length must be <= {MAX_RANK_LENGTH}, got {p.length}")
-    return code_from_steps(p.steps)
+    return sum(1 << j for j, s in enumerate(p.steps) if s == UP)
 
 
 def all_paths(length: int) -> Iterator[LatticePath]:

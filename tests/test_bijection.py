@@ -2,6 +2,7 @@ import random
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +30,7 @@ from dyckflip import (
     unrank,
     verify_roundtrip,
 )
-from dyckflip.bijection import phi_inverse_steps, phi_steps
+from dyckflip.bijection import phi_inverse_rows, phi_rows
 
 
 def paths_of_class(length, cls):
@@ -207,13 +208,24 @@ class TestInvariants:
 
     @pytest.mark.parametrize("length", range(0, 13, 2))
     def test_fast_step_variants_agree(self, length):
-        for code in range(1 << length):
-            p = unrank(length, code)
-            cls = classify(p)
-            if cls is PathClass.BALANCED:
-                assert tuple(phi_steps(list(p.steps))) == phi(p)[0].steps
-            elif cls is not PathClass.OTHER:
-                assert tuple(phi_inverse_steps(list(p.steps))) == phi_inverse(p)[0].steps
+        # each kernel maps every path of its domain at once, as one array, so
+        # a row that depends on another row shows up against the single call
+        def rows(paths):
+            return np.array([p.steps for p in paths], dtype=np.int8).reshape(len(paths), length)
+
+        balanced = list(paths_of_class(length, PathClass.BALANCED))
+        images, kept = phi_rows(rows(balanced))
+        assert [tuple(r) for r in images.tolist()] == [phi(p)[0].steps for p in balanced]
+        # the inverse keeps the steps the forward map kept, which the trace needs
+        pre, pre_kept = phi_inverse_rows(images)
+        assert (pre == rows(balanced)).all() and (pre_kept == kept).all()
+        unbalanced = [
+            p
+            for cls in (PathClass.UP_UNBALANCED, PathClass.DOWN_UNBALANCED)
+            for p in paths_of_class(length, cls)
+        ]
+        pre, _ = phi_inverse_rows(rows(unbalanced))
+        assert [tuple(r) for r in pre.tolist()] == [phi_inverse(p)[0].steps for p in unbalanced]
 
 
 class TestComposeLaw:
@@ -368,6 +380,20 @@ def long_up_unbalanced(draw):
 
 
 class TestLongPaths:
+    @pytest.mark.parametrize("shape", ["peak", "random"])
+    def test_past_int16(self, shape):
+        # the image of U^40000 D^40000 climbs to 80,000, and a 70,000-step
+        # path puts L + 1 = 70,001 into its suffix-min scan: int16 wraps
+        if shape == "peak":
+            steps = [1] * 40000 + [-1] * 40000
+        else:
+            steps = [1, -1] * 35000
+            random.Random(0).shuffle(steps)
+        p = LatticePath(tuple(steps))
+        image, _ = phi(p)
+        assert classify(image) in (PathClass.UP_UNBALANCED, PathClass.DOWN_UNBALANCED)
+        assert phi_inverse(image)[0] == p
+
     @settings(max_examples=20, deadline=None)
     @given(long_balanced())
     def test_balanced(self, p):

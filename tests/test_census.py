@@ -2,6 +2,7 @@ import json
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from dyckflip import (
@@ -145,7 +146,7 @@ class TestVerifyBijection:
 
     def test_corrupted_phi_detected(self, monkeypatch):
         # constant-image stub: collides and never covers the codomain
-        monkeypatch.setattr(census, "phi_steps", lambda steps: [1] * len(steps))
+        monkeypatch.setattr(census, "phi_rows", lambda rows: (np.ones_like(rows), None))
         report = verify_bijection(2)
         assert not report.bijection_ok
         assert report.roundtrip_failures
@@ -153,7 +154,7 @@ class TestVerifyBijection:
     def test_image_not_unbalanced_reported(self, monkeypatch):
         # the identity sends every balanced path to a balanced one, which
         # has no preimage under the inverse
-        monkeypatch.setattr(census, "phi_steps", lambda steps: list(steps))
+        monkeypatch.setattr(census, "phi_rows", lambda rows: (rows, None))
         report = verify_bijection(2)
         assert not report.bijection_ok
         assert report.roundtrip_failures == tuple(
@@ -162,13 +163,18 @@ class TestVerifyBijection:
 
     @pytest.mark.parametrize(
         "wrong_length",
-        [lambda steps: steps + [1, 1], lambda steps: steps[:-2]],
-        ids=["longer", "shorter"],
+        [
+            lambda image: np.hstack([image, np.ones((len(image), 2), dtype=np.int8)]),
+            lambda image: image[:, :-2],
+            lambda image: image[:-1],
+        ],
+        ids=["longer", "shorter", "fewer-rows"],
     )
     def test_image_of_other_length_reported(self, monkeypatch, wrong_length):
-        # an image of another length has no code among the 2^(2n) paths
-        orig = census.phi_steps
-        monkeypatch.setattr(census, "phi_steps", lambda steps: wrong_length(orig(steps)))
+        # an image of another length has no code among the 2^(2n) paths, and
+        # a missing row leaves the rows unpaired with their paths
+        orig = census.phi_rows
+        monkeypatch.setattr(census, "phi_rows", lambda rows: (wrong_length(orig(rows)[0]), None))
         report = verify_bijection(2)
         assert not report.bijection_ok
         assert report.roundtrip_failures == (3, 5, 6, 9, 10, 12)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -32,6 +33,21 @@ def brute_classify(p: LatticePath) -> PathClass:
     if len(h) > 1 and max(h[1:]) < 0:
         return PathClass.DOWN_UNBALANCED
     return PathClass.OTHER
+
+
+class TestStepValidation:
+    def test_int_like_steps_accepted(self):
+        p = LatticePath((True, 1.0, np.int8(-1)))
+        assert p.steps == (1, 1, -1)
+        assert all(type(s) is int for s in p.steps)
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [(0, ValueError), (2, ValueError), ("U", ValueError), (None, TypeError)],
+    )
+    def test_other_steps_rejected(self, bad, error):
+        with pytest.raises(error):
+            LatticePath((1, bad, -1))
 
 
 class TestParseFormat:
