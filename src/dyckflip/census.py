@@ -13,11 +13,12 @@ verified by sweeping the whole rank space: every balanced path is mapped,
 its image is marked in one image-seen array and mapped back, and the two
 classes are counted. Images that are all unbalanced, all distinct and as
 many as the unbalanced paths are all of them, so the counts prove that the
-map is onto. Both sweeps walk all codes a chunk at a time, moving one int8
-height per code by one step per column, and fold each column as they go.
-The bijection sweep then decodes the chunk's balanced codes into one int8
-array of step rows and runs it through the row kernels of `bijection`,
-forward and back, the same kernels phi and phi_inverse run on one row.
+map is onto. One walk over all codes, a chunk at a time with one int8
+height per code, folds each path's last vertex at height 0, and both sweeps
+and `enumerate_class` read their classes off it: a path is balanced iff
+that is its last vertex, unbalanced iff its first. The bijection sweep
+decodes the chunk's balanced codes into int8 step rows for the row kernels
+of `bijection`, forward and back, which phi and phi_inverse run on one row.
 """
 
 from __future__ import annotations
@@ -33,14 +34,13 @@ import numpy as np
 
 from .bijection import phi_inverse_rows, phi_rows
 from .errors import OddLengthError, RangeError
-from .path import LatticePath, PathClass, all_paths, classify
+from .path import LatticePath, PathClass
 
 MAX_BIJECTION_N = 12
 MAX_STRUCTURAL_N = 12
 MAX_ARITHMETIC_N = 10_000
 # codes per chunk of the all-codes walk; any size gives the same reports,
-# it only bounds the memory of one chunk's code and height vectors and of
-# the step and height rows of its balanced paths
+# it only bounds the memory of one chunk and of the rows it decodes
 _CHUNK = 1 << 16
 
 IdentityMode = Literal["arithmetic", "structural"]
@@ -74,12 +74,21 @@ def split_at_last_zero(p: LatticePath) -> Tuple[LatticePath, LatticePath]:
 
 
 def enumerate_class(length: int, cls: Optional[PathClass] = None) -> Iterator[LatticePath]:
-    """All paths of the given length matching the class filter, in rank order."""
+    """All paths of the given length matching the class filter, in rank order.
+
+    A code's class comes off its last visit to height 0, in classify's
+    precedence: balanced if that is the last vertex, else up or down
+    unbalanced by the first step if it is the first, else Other.
+    """
     if not 0 <= length <= 30:
         raise RangeError(f"length must be in [0, 30], got {length}")
-    for p in all_paths(length):
-        if cls is None or classify(p) is cls:
-            yield p
+    for codes, last in _last_zero(length):
+        if cls is not None:
+            # the index of each class in PathClass: balanced, up, down, other
+            kind = np.where(last == length, 0, np.where(last == 0, 2 - (codes & 1), 3))
+            codes = codes[kind == list(PathClass).index(cls)]
+        for row in _rows(codes, length):
+            yield LatticePath(tuple(row.tolist()))
 
 
 @dataclass(frozen=True)
@@ -112,7 +121,7 @@ class CensusReport:
             and not self.tally_mismatches
         )
 
-    def to_json_dict(self, include_elapsed: bool = False) -> dict:
+    def to_json_dict(self) -> dict:
         d = {
             "n": self.n,
             "total_paths": self.total_paths,
@@ -127,18 +136,16 @@ class CensusReport:
         if self.structural_tallies is not None:
             d["structural_tallies"] = list(self.structural_tallies)
             d["tally_mismatches"] = list(self.tally_mismatches)
-        if include_elapsed:
-            d["elapsed"] = self.elapsed
+        d["elapsed"] = self.elapsed
         return d
 
-    def to_kv(self, include_elapsed: bool = False) -> str:
+    def to_kv(self) -> str:
         """Line-oriented key=value form of the JSON fields, with ok last.
-        elapsed is wall-clock noise and is left out by default so reports
-        compare byte-for-byte."""
+        elapsed is wall-clock noise and is left out so reports compare
+        byte-for-byte."""
         fields = self.to_json_dict()
+        del fields["elapsed"]
         fields["ok"] = fields.pop("ok")
-        if include_elapsed:
-            fields["elapsed"] = f"{self.elapsed:.6f}"
         with exact_int_str():
             return "".join(f"{key}={_kv_text(value)}\n" for key, value in fields.items())
 
@@ -172,62 +179,60 @@ def identity_lhs(n: int) -> int:
     return sum(c[i] * c[n - i] for i in range(n + 1))
 
 
-def _walks(length: int) -> Iterator[Tuple[np.ndarray, np.ndarray, Iterator[int]]]:
-    """(codes, h, walk) per chunk of all 2^length codes, in rank order.
-    Drawing c = 1..length from walk moves h[r], from 0, to the height of
-    codes[r] after its step c."""
+def _rows(codes: np.ndarray, length: int) -> np.ndarray:
+    """One int8 row of steps per code: step j is Up iff bit j is set."""
+    return ((codes[:, None] >> np.arange(length, dtype=np.int32)) & 1).astype(np.int8) * 2 - 1
+
+
+def _last_zero(length: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """(codes, last) per chunk of all 2^length codes in rank order: last[r] is
+    the last vertex of the path of codes[r] at height 0, 0 if it never returns."""
     total = 1 << length
     for lo in range(0, total, _CHUNK):
-        # int32 holds every code up to MAX_BIJECTION_N and MAX_STRUCTURAL_N
+        # length <= 30, so int32 holds every code, int8 every height and index
         codes = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int32)
         h = np.zeros(len(codes), dtype=np.int8)
-        yield codes, h, _steps(codes, h, length)
-
-
-def _steps(codes: np.ndarray, h: np.ndarray, length: int) -> Iterator[int]:
-    for c in range(length):
-        # step c + 1 of a code is Up iff its bit c is set
-        h += 2 * ((codes >> c) & 1).astype(np.int8) - 1
-        yield c + 1
+        last = np.zeros(len(codes), dtype=np.int8)
+        for c in range(length):
+            # step c + 1 of a code is Up iff its bit c is set
+            h += 2 * ((codes >> c) & 1).astype(np.int8) - 1
+            # the vertex index only grows, so the largest mark is the last
+            np.maximum(last, (h == 0).view(np.int8) * np.int8(c + 1), out=last)
+        yield codes, last
 
 
 def verify_bijection(n: int) -> CensusReport:
     """Sweep all 2^(2n) paths and verify the bijection exhaustively.
 
-    One pass over the rank space counts the balanced and the unbalanced
-    paths. The balanced paths of each chunk go through the forward kernel
-    as one array of step rows, and their images through the inverse one.
-    An image must have the shape of its input and never touch height 0,
-    must not be marked already in the one image-seen array, by an earlier
-    chunk or an earlier row, and must map back to its path, or the path is
-    listed in roundtrip_failures. The map is a bijection iff nothing failed
-    and both sides count C(2n, n): the images are then distinct unbalanced
-    paths, as many as there are unbalanced paths, so they are all of them.
+    One pass over the rank space reads each path's last visit to height 0
+    and counts the balanced and the unbalanced paths. The balanced paths of
+    each chunk go through the forward kernel as one array of step rows, and
+    their images through the inverse one. An image must have the shape of
+    its input and never touch height 0, must not be marked already in the
+    one image-seen array, by an earlier chunk or an earlier row, and must
+    map back to its path, or the path is listed in roundtrip_failures. The
+    map is a bijection iff nothing failed and both sides count C(2n, n):
+    the images are then distinct unbalanced paths, as many as there are
+    unbalanced paths, so they are all of them.
     """
     if not 1 <= n <= MAX_BIJECTION_N:
         raise RangeError(f"n must be in [1, {MAX_BIJECTION_N}], got {n}")
     start = time.perf_counter()
     length = 2 * n
     total = 1 << length
-    bits = np.arange(length, dtype=np.int32)
 
     balanced_count = 0
     unbalanced_count = 0
     seen = np.zeros(total, dtype=bool)
     failures: List[int] = []
 
-    for codes, h, walk in _walks(length):
-        touched = np.zeros(len(h), dtype=bool)
-        for _ in walk:
-            touched |= h == 0
+    for codes, last in _last_zero(length):
         # a ±1 walk cannot change sign without passing 0, so a path that
-        # never touches 0 after its start stays on one side: unbalanced
-        balanced = codes[h == 0]
+        # never returns to 0 stays on one side: unbalanced
+        balanced = codes[last == length]
         balanced_count += len(balanced)
-        unbalanced_count += len(h) - int(touched.sum())
-
-        # step j of a code is Up iff its bit j is set
-        rows = ((balanced[:, None] >> bits) & 1).astype(np.int8) * 2 - 1
+        unbalanced_count += int(np.count_nonzero(last == 0))
+        rows = _rows(balanced, length)
         image = phi_rows(rows)[0]
         # an image of another shape or one that returns to height 0 is not
         # an unbalanced path of this length: no mark, no round trip
@@ -236,7 +241,7 @@ def verify_bijection(n: int) -> CensusReport:
             continue
         ok = (np.cumsum(image, axis=1, dtype=np.int8) != 0).all(axis=1)
         image = image[ok]
-        image_codes = (image == 1) @ (1 << bits)
+        image_codes = (image == 1) @ (1 << np.arange(length, dtype=np.int32))
         # a later row with the same image as an earlier one is a repeat
         first = np.zeros(len(image_codes), dtype=bool)
         first[np.unique(image_codes, return_index=True)[1]] = True
@@ -264,9 +269,9 @@ def verify_identity(n: int, mode: IdentityMode = "arithmetic") -> CensusReport:
     """Check the central-binomial convolution identity for one n.
 
     Arithmetic mode evaluates both sides with exact integers, the central
-    binomials by recurrence. Structural mode walks all 4^n paths column by
-    column, keeps each one's last visit to height 0 and compares the
-    per-prefix-length tallies with the binomial products.
+    binomials by recurrence. Structural mode reads the last visit to height
+    0 of each of the 4^n paths off the one all-codes walk, tallies them by
+    prefix half-length and compares the tallies with the binomial products.
     """
     start = time.perf_counter()
     if mode == "arithmetic":
@@ -286,16 +291,11 @@ def verify_identity(n: int, mode: IdentityMode = "arithmetic") -> CensusReport:
         )
     if mode != "structural":
         raise RangeError(f"unknown identity mode {mode!r}")
-
     if not 0 <= n <= MAX_STRUCTURAL_N:
         raise RangeError(f"structural mode requires n in [0, {MAX_STRUCTURAL_N}], got {n}")
     length = 2 * n
     tallies = np.zeros(n + 1, dtype=np.int64)
-    for _, h, walk in _walks(length):
-        # last visit to height 0; it stays 0 for a path that never returns
-        last = np.zeros(len(h), dtype=np.int8)
-        for c in walk:
-            last[h == 0] = c
+    for _, last in _last_zero(length):
         tallies += np.bincount(last >> 1, minlength=n + 1)
 
     expected = [comb(2 * i, i) * comb(2 * (n - i), n - i) for i in range(n + 1)]

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: map, invert, decompose, verify, enumerate, render, bench.
+Subcommands: map, invert, decompose, verify, enumerate, render.
 Paths arrive as an argument or via stdin when the argument is "-", so
 `dyckflip map UDUD | dyckflip invert -` round-trips.
 
@@ -78,9 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     rend.add_argument("--trace", choices=("forward", "inverse"), default=None)
     rend.add_argument("--axes", action="store_true")
 
-    bench = sub.add_parser("bench", help="time the exhaustive bijection sweep")
-    bench.add_argument("--n", type=int, required=True)
-
     return parser
 
 
@@ -157,6 +154,13 @@ def _print_report(report: _census.CensusReport, as_json: bool) -> int:
     return 0 if report.ok else 1
 
 
+def _print_error(exc: Exception) -> int:
+    """One `error: Kind: message` line on stderr; the exit code is 2."""
+    kind = getattr(exc, "reason", type(exc).__name__.removesuffix("Error"))
+    print(f"error: {kind}: {exc}", file=sys.stderr)
+    return 2
+
+
 def _run_render(args: argparse.Namespace) -> int:
     p = _read_path(args.path, args.alphabet)
     trace = None
@@ -170,7 +174,11 @@ def _run_render(args: argparse.Namespace) -> int:
         if args.svg == "-":
             sys.stdout.write(doc)
         else:
-            with open(args.svg, "w", encoding="utf-8") as fh:
+            try:
+                fh = open(args.svg, "w", encoding="utf-8")
+            except OSError as exc:
+                return _print_error(exc)
+            with fh:
                 fh.write(doc)
     else:
         sys.stdout.write(render_ascii(spec))
@@ -197,13 +205,6 @@ def _run(args: argparse.Namespace) -> int:
         return 0
     if args.command == "render":
         return _run_render(args)
-    if args.command == "bench":
-        report = _census.verify_bijection(args.n)
-        print(
-            f"n={args.n} paths={report.total_paths} ok={str(report.ok).lower()} "
-            f"elapsed={report.elapsed:.3f}s"
-        )
-        return 0 if report.ok else 1
     raise AssertionError(f"unhandled command {args.command}")
 
 
@@ -223,9 +224,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.close(devnull)
         return 1
     except (DomainError, ParseError, RangeError, ValidationError) as exc:
-        kind = getattr(exc, "reason", type(exc).__name__.removesuffix("Error"))
-        print(f"error: {kind}: {exc}", file=sys.stderr)
-        return 2
+        return _print_error(exc)
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import List, Tuple
 
 from .errors import (
@@ -23,7 +24,7 @@ from .errors import (
     NotBalancedError,
     ValidationError,
 )
-from .path import DOWN, UP, LatticePath, first_passage_runs
+from .path import DOWN, UP, LatticePath
 
 
 class SegmentKind(Enum):
@@ -54,20 +55,15 @@ class Decomposition:
     peak_heights: Tuple[int, ...]
 
 
-def find_peaks(p: LatticePath) -> List[int]:
-    """Peak vertex indices of an up-starting path in discovery order
-    (global maximum first).
-
-    The peaks are the ends of the maximal runs of first-passage up-steps:
-    the leftmost vertex at the global maximum, then, for each earlier run,
-    the leftmost highest vertex of the prefix that ends where the next
-    run's climb begins.
-    """
-    return [end for _, end in reversed(first_passage_runs(p.steps))]
-
-
 def decompose(p: LatticePath) -> Decomposition:
-    """Split an up-starting balanced path into upruns and down segments."""
+    """Split an up-starting balanced path into upruns and down segments.
+
+    The upruns are the maximal runs of first-passage up-steps, the steps
+    that reach a new strict maximum height, and their ends are the peaks.
+    They climb from 0 to the maximum one level per step, so each peak sits
+    at the total length of the runs up to it, and each segment runs from
+    its peak to the start of the next run, the last one to the end.
+    """
     if p.length == 0:
         raise EmptyPathError("cannot decompose the empty path")
     if p.end_height != 0:
@@ -75,26 +71,27 @@ def decompose(p: LatticePath) -> Decomposition:
     if p.steps[0] == DOWN:
         raise DownStartError("path starts with a downstep; reflect it first")
 
-    h = p.heights
-    asc = find_peaks(p)[::-1]
+    runs: List[List[int]] = []  # [start, end] vertex pairs, left to right
+    h = top = 0
+    for j, s in enumerate(p.steps):
+        h += s
+        if h > top:
+            top = h
+            if runs and runs[-1][1] == j:
+                runs[-1][1] = j + 1
+            else:
+                runs.append([j, j + 1])
     parts = []
-    prev_y = 0
-    for k, b in enumerate(asc):
-        y = h[b]
-        if k + 1 < len(asc):
-            nb = asc[k + 1]
-            seg_end = nb - (h[nb] - y)
-            kind = SegmentKind.DOWN_DYCK
+    for k, (start, end) in enumerate(runs):
+        if k + 1 < len(runs):
+            seg_end, kind = runs[k + 1][0], SegmentKind.DOWN_DYCK
         else:
-            seg_end = p.length
-            kind = SegmentKind.DOWN_UNBALANCED
-        seg = Segment(kind, LatticePath(p.steps[b:seg_end]), b)
-        parts.append((y - prev_y, seg))
-        prev_y = y
+            seg_end, kind = p.length, SegmentKind.DOWN_UNBALANCED
+        parts.append((end - start, Segment(kind, LatticePath(p.steps[end:seg_end]), end)))
     return Decomposition(
         parts=tuple(parts),
-        peak_indices=tuple(asc),
-        peak_heights=tuple(h[b] for b in asc),
+        peak_indices=tuple(end for _, end in runs),
+        peak_heights=tuple(accumulate(end - start for start, end in runs)),
     )
 
 

@@ -1,6 +1,6 @@
 """Step/path representation in rotated coordinates, plus the primitives
 everything else is built from: classification, reflections, concatenation,
-crossing search, the first-passage pass and rank/unrank enumeration support.
+crossing search and rank/unrank enumeration support.
 
 A path lives on the rotated lattice where the diagonal is horizontal: every
 step moves one unit right and one unit up (+1) or down (-1). The height
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Tuple
 
 from .errors import ParseError, RangeError
 
@@ -170,32 +170,6 @@ def rightmost_crossing(p: LatticePath, level: int, search_end: int) -> Optional[
         if h[j] == level and (h[j - 1] - level) * (h[j + 1] - level) < 0:
             return j
     return None
-
-
-def first_passage_runs(steps: Sequence[int]) -> List[Tuple[int, int]]:
-    """Maximal runs of first-passage up-steps, left to right, as
-    (start, end) vertex index pairs.
-
-    A first-passage up-step reaches a new strict maximum height. The runs
-    climb from 0 to the maximum height one level per step, so the vertex
-    `end` of a run sits at the total length of the runs up to and including
-    it, and its vertex `start` at the total length of the runs before it.
-    """
-    runs = []
-    h = top = 0
-    start = -1
-    for j, s in enumerate(steps):
-        h += s
-        if h > top:
-            top = h
-            if start < 0:
-                start = j
-        elif start >= 0:
-            runs.append((start, j))
-            start = -1
-    if start >= 0:
-        runs.append((start, len(steps)))
-    return runs
 
 
 def unrank(length: int, code: int) -> LatticePath:

@@ -26,7 +26,7 @@ class RenderSpec:
 
     def __post_init__(self) -> None:
         if self.cell_size < 1:
-            raise ValueError(f"cell_size must be >= 1, got {self.cell_size}")
+            raise RangeError(f"cell_size must be >= 1, got {self.cell_size}")
 
 
 def render_ascii(spec: RenderSpec) -> str:

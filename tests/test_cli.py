@@ -190,6 +190,19 @@ class TestRenderOutput:
         points = root.find(f"{ns}polyline").get("points").split()
         assert len(points) == 5
 
+    @pytest.mark.parametrize("cell", ["0", "-3"])
+    def test_cell_size_below_one_is_2(self, capsys, cell):
+        code, out, err = run(capsys, "render", "UD", "--cell-size", cell)
+        assert (code, out) == (2, "")
+        assert err == f"error: Range: cell_size must be >= 1, got {cell}\n"
+
+    def test_unopenable_svg_target_is_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "out.svg"
+        code, out, err = run(capsys, "render", "UD", "--svg", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: FileNotFound: ") and err.count("\n") == 1
+        assert not target.exists()
+
     def test_ne_alphabet(self, capsys):
         code, out, _ = run(capsys, "map", "NNEE", "--alphabet", "ne")
         assert code == 0
@@ -198,13 +211,16 @@ class TestRenderOutput:
 
 def test_parser_has_all_subcommands():
     parser = build_parser()
-    ns = parser.parse_args(["bench", "--n", "2"])
-    assert ns.command == "bench"
     ns = parser.parse_args(["enumerate", "--len", "2"])
     assert ns.cls == "all"
+    # `bench` only reran `verify bijection`; its elapsed time is in --json
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--n", "2"])
+    assert exc.value.code == 2
 
 
-def test_bench_runs(capsys):
-    code, out, _ = run(capsys, "bench", "--n", "2")
+def test_verify_bijection_json_has_elapsed(capsys):
+    code, out, _ = run(capsys, "verify", "bijection", "--n", "2", "--json")
     assert code == 0
-    assert "elapsed=" in out and "ok=true" in out
+    data = json.loads(out)
+    assert isinstance(data["elapsed"], float) and data["ok"] is True
