@@ -37,7 +37,6 @@ from .errors import (
 from .path import (
     LatticePath,
     PathClass,
-    Step,
     all_paths,
     classify,
     concat,
@@ -73,7 +72,6 @@ __all__ = [
     "RenderSpec",
     "Segment",
     "SegmentKind",
-    "Step",
     "ValidationError",
     "all_paths",
     "binomial",

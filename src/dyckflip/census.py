@@ -10,10 +10,12 @@ visit to height 0 buckets the 4^n paths into exactly C(2i,i)*C(2n-2i,n-i)
 per prefix half-length i. Second, that the partial-reflection map is a
 bijection between balanced and unbalanced paths of each even length,
 verified by sweeping the whole rank space: every balanced path is mapped,
-its image is marked in one image-seen array and mapped back, and the two
-classes are counted. Images that are all unbalanced, all distinct and as
-many as the unbalanced paths are all of them, so the counts prove that the
-map is onto. One walk over all codes, a chunk at a time with one int8
+its image must never touch height 0 and must map back to it, and the two
+classes are counted. The inverse maps each image row on its own, so when
+every round trip holds it is a left inverse and the map is one-to-one;
+the touch check makes every image unbalanced, and as many distinct images
+as there are unbalanced paths are all of them, so the counts prove that
+the map is onto. One walk over all codes, a chunk at a time with one int8
 height per code, folds each path's last vertex at height 0, and both sweeps
 and `enumerate_class` read their classes off it: a path is balanced iff
 that is its last vertex, unbalanced iff its first. The bijection sweep
@@ -208,11 +210,12 @@ def verify_bijection(n: int) -> CensusReport:
     and counts the balanced and the unbalanced paths. The balanced paths of
     each chunk go through the forward kernel as one array of step rows, and
     their images through the inverse one. An image must have the shape of
-    its input and never touch height 0, must not be marked already in the
-    one image-seen array, by an earlier chunk or an earlier row, and must
-    map back to its path, or the path is listed in roundtrip_failures. The
-    map is a bijection iff nothing failed and both sides count C(2n, n):
-    the images are then distinct unbalanced paths, as many as there are
+    its input, never touch height 0 and map back to its path, or the path
+    is listed in roundtrip_failures. The inverse works row by row, so it is
+    a function of the image alone, and a map with a left inverse is
+    injective: phi(a) = phi(b) gives a = phi_inverse(phi(a)) = b. The map
+    is a bijection iff nothing failed and both sides count C(2n, n): the
+    images are then distinct unbalanced paths, as many as there are
     unbalanced paths, so they are all of them.
     """
     if not 1 <= n <= MAX_BIJECTION_N:
@@ -223,7 +226,6 @@ def verify_bijection(n: int) -> CensusReport:
 
     balanced_count = 0
     unbalanced_count = 0
-    seen = np.zeros(total, dtype=bool)
     failures: List[int] = []
 
     for codes, last in _last_zero(length):
@@ -235,19 +237,12 @@ def verify_bijection(n: int) -> CensusReport:
         rows = _rows(balanced, length)
         image = phi_rows(rows)[0]
         # an image of another shape or one that returns to height 0 is not
-        # an unbalanced path of this length: no mark, no round trip
+        # an unbalanced path of this length, and is not mapped back
         if image.shape != rows.shape:
             failures += balanced.tolist()
             continue
         ok = (np.cumsum(image, axis=1, dtype=np.int8) != 0).all(axis=1)
-        image = image[ok]
-        image_codes = (image == 1) @ (1 << np.arange(length, dtype=np.int32))
-        # a later row with the same image as an earlier one is a repeat
-        first = np.zeros(len(image_codes), dtype=bool)
-        first[np.unique(image_codes, return_index=True)[1]] = True
-        back = (phi_inverse_rows(image)[0] == rows[ok]).all(axis=1)
-        ok[ok] = first & ~seen[image_codes] & back
-        seen[image_codes] = True
+        ok[ok] = (phi_inverse_rows(image[ok])[0] == rows[ok]).all(axis=1)
         failures += balanced[~ok].tolist()
 
     bijection_ok = not failures and balanced_count == unbalanced_count == comb(2 * n, n)

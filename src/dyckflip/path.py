@@ -10,7 +10,7 @@ profile h_0=0, h_1, ..., h_L is the running sum of steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import Enum
 from functools import cached_property
 from typing import Iterator, Optional, Tuple
 
@@ -20,13 +20,8 @@ from .errors import ParseError, RangeError
 MAX_RANK_LENGTH = 62
 
 
-class Step(IntEnum):
-    UP = 1
-    DOWN = -1
-
-
-UP = int(Step.UP)
-DOWN = int(Step.DOWN)
+UP = 1
+DOWN = -1
 
 
 class PathClass(Enum):

@@ -1,5 +1,6 @@
 import json
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -146,6 +147,30 @@ class TestEnumerateClass:
         assert up + down == balanced
 
 
+def _copy_row_0_into_row_1(phi_rows):
+    """A forward map whose second image repeats the first of the same call."""
+
+    def stub(rows):
+        image = phi_rows(rows)[0].copy()
+        image[1] = image[0]
+        return image, None
+
+    return stub
+
+
+def _repeat_first_image(phi_rows):
+    """A forward map whose first image of every call is that of the first call."""
+    firsts = []
+
+    def stub(rows):
+        image = phi_rows(rows)[0].copy()
+        firsts.append(image[0].copy())
+        image[0] = firsts[0]
+        return image, None
+
+    return stub
+
+
 class TestVerifyBijection:
     def test_n1(self):
         report = verify_bijection(1)
@@ -194,6 +219,32 @@ class TestVerifyBijection:
         report = verify_bijection(2)
         assert not report.bijection_ok
         assert report.roundtrip_failures == (3, 5, 6, 9, 10, 12)
+
+    @pytest.mark.parametrize(
+        "chunk, make_stub, failures",
+        [(1 << 16, _copy_row_0_into_row_1, (5,)), (8, _repeat_first_image, (9,))],
+        ids=["same-chunk", "earlier-chunk"],
+    )
+    def test_collision_caught_by_round_trip(self, monkeypatch, chunk, make_stub, failures):
+        # the balanced codes of n = 2 are 3, 5, 6 | 9, 10, 12 in chunks of 8;
+        # a path whose image repeats an earlier one maps back to that one
+        monkeypatch.setattr(census, "_CHUNK", chunk)
+        monkeypatch.setattr(census, "phi_rows", make_stub(census.phi_rows))
+        report = verify_bijection(2)
+        assert not report.bijection_ok
+        assert report.roundtrip_failures == failures
+
+    def test_memory_bounded_by_chunk(self):
+        # n = 11 sweeps 16x the paths of n = 9 in chunks of the same size
+        peaks = []
+        for n in (9, 11):
+            tracemalloc.start()
+            try:
+                verify_bijection(n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
 
     def test_chunk_determinism(self, monkeypatch):
         reports = []
