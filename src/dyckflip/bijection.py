@@ -154,7 +154,7 @@ def phi(p: LatticePath) -> Tuple[LatticePath, BijectionTrace]:
     if p.end_height != 0:
         raise NotBalancedError("input path must end at height 0")
     image, kept = phi_rows(np.array([p.steps], dtype=np.int8))
-    return LatticePath(tuple(image[0].tolist())), _trace(kept[0], Direction.FORWARD, p.steps[0])
+    return LatticePath._trusted(tuple(image[0].tolist())), _trace(kept[0], Direction.FORWARD, p.steps[0])
 
 
 def phi_inverse(p: LatticePath) -> Tuple[LatticePath, BijectionTrace]:
@@ -167,7 +167,7 @@ def phi_inverse(p: LatticePath) -> Tuple[LatticePath, BijectionTrace]:
     if cls not in (PathClass.UP_UNBALANCED, PathClass.DOWN_UNBALANCED):
         raise NotUnbalancedError(f"input path is {cls.value}, expected unbalanced")
     pre, kept = phi_inverse_rows(np.array([p.steps], dtype=np.int8))
-    return LatticePath(tuple(pre[0].tolist())), _trace(kept[0], Direction.INVERSE, p.steps[0])
+    return LatticePath._trusted(tuple(pre[0].tolist())), _trace(kept[0], Direction.INVERSE, p.steps[0])
 
 
 def verify_roundtrip(p: LatticePath) -> bool:

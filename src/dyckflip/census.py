@@ -72,7 +72,7 @@ def split_at_last_zero(p: LatticePath) -> Tuple[LatticePath, LatticePath]:
     if p.length % 2:
         raise OddLengthError("split requires an even-length path")
     j = last_zero_touch(p)
-    return LatticePath(p.steps[:j]), LatticePath(p.steps[j:])
+    return LatticePath._trusted(p.steps[:j]), LatticePath._trusted(p.steps[j:])
 
 
 def enumerate_class(length: int, cls: Optional[PathClass] = None) -> Iterator[LatticePath]:
@@ -90,7 +90,7 @@ def enumerate_class(length: int, cls: Optional[PathClass] = None) -> Iterator[La
             kind = np.where(last == length, 0, np.where(last == 0, 2 - (codes & 1), 3))
             codes = codes[kind == list(PathClass).index(cls)]
         for row in _rows(codes, length):
-            yield LatticePath(tuple(row.tolist()))
+            yield LatticePath._trusted(tuple(row.tolist()))
 
 
 @dataclass(frozen=True)
@@ -183,7 +183,12 @@ def identity_lhs(n: int) -> int:
 
 def _rows(codes: np.ndarray, length: int) -> np.ndarray:
     """One int8 row of steps per code: step j is Up iff bit j is set."""
-    return ((codes[:, None] >> np.arange(length, dtype=np.int32)) & 1).astype(np.int8) * 2 - 1
+    # bit j of a code is bit j % 8 of its byte j // 8 in little-endian order
+    code_bytes = codes.astype("<i4", copy=False).view(np.uint8).reshape(-1, 4)
+    rows = np.unpackbits(code_bytes, axis=1, count=length, bitorder="little").view(np.int8)
+    rows *= 2
+    rows -= 1
+    return rows
 
 
 def _last_zero(length: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:

@@ -87,7 +87,7 @@ def decompose(p: LatticePath) -> Decomposition:
             seg_end, kind = runs[k + 1][0], SegmentKind.DOWN_DYCK
         else:
             seg_end, kind = p.length, SegmentKind.DOWN_UNBALANCED
-        parts.append((end - start, Segment(kind, LatticePath(p.steps[end:seg_end]), end)))
+        parts.append((end - start, Segment(kind, LatticePath._trusted(p.steps[end:seg_end]), end)))
     return Decomposition(
         parts=tuple(parts),
         peak_indices=tuple(end for _, end in runs),
@@ -152,4 +152,4 @@ def recompose(d: Decomposition) -> LatticePath:
     for up_len, seg in d.parts:
         steps.extend([UP] * up_len)
         steps.extend(seg.steps.steps)
-    return LatticePath(tuple(steps))
+    return LatticePath._trusted(tuple(steps))

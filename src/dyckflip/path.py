@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterator, Optional, Tuple
 
 from .errors import ParseError, RangeError
@@ -43,7 +44,15 @@ _LETTERS = {
 
 @dataclass(frozen=True)
 class LatticePath:
-    """An immutable sequence of +1/-1 steps with a derived height profile."""
+    """An immutable sequence of +1/-1 steps with a derived height profile.
+
+    `LatticePath(steps)` converts every step with int() and rejects any that
+    is not +1 or -1. `LatticePath._trusted(steps)` stores its argument
+    unchecked, so library code in this package calls it only on a tuple of
+    Python ints +1/-1 that it has just built or already validated: parsed
+    letters, the int8 rows of the map kernels after .tolist(), slices,
+    negations and joins of steps of existing paths, and decoded codes.
+    """
 
     steps: Tuple[int, ...]
 
@@ -53,14 +62,15 @@ class LatticePath:
             raise ValueError("steps must be +1 (Up) or -1 (Down)")
         object.__setattr__(self, "steps", cleaned)
 
+    @classmethod
+    def _trusted(cls, steps: Tuple[int, ...]) -> LatticePath:
+        p = object.__new__(cls)
+        object.__setattr__(p, "steps", steps)
+        return p
+
     @cached_property
     def heights(self) -> Tuple[int, ...]:
-        h = [0]
-        acc = 0
-        for s in self.steps:
-            acc += s
-            h.append(acc)
-        return tuple(h)
+        return tuple(accumulate(self.steps, initial=0))
 
     @property
     def length(self) -> int:
@@ -84,19 +94,22 @@ def parse_path(text: str, alphabet: str = "ud") -> LatticePath:
     """
     table = _ALPHABETS[alphabet.lower()]
     stripped = text.strip()
-    steps = []
-    for i, ch in enumerate(stripped):
-        step = table.get(ch.upper())
-        if step is None:
-            raise ParseError(f"invalid character {ch!r} for alphabet {alphabet!r}", i)
-        steps.append(step)
-    return LatticePath(tuple(steps))
+    upper = stripped.upper()
+    # a character whose uppercase is longer (such as "ß") is never a step
+    # letter; with none, upper[i] is the uppercase of stripped[i]
+    if len(upper) == len(stripped):
+        try:
+            return LatticePath._trusted(tuple(map(table.__getitem__, upper)))
+        except KeyError:
+            pass
+    i, ch = next((i, ch) for i, ch in enumerate(stripped) if ch.upper() not in table)
+    raise ParseError(f"invalid character {ch!r} for alphabet {alphabet!r}", i)
 
 
 def format_path(p: LatticePath, alphabet: str = "ud") -> str:
     """Canonical uppercase text for a path; inverse of parse_path."""
     letters = _LETTERS[alphabet.lower()]
-    return "".join(letters[s] for s in p.steps)
+    return "".join(map(letters.__getitem__, p.steps))
 
 
 def classify(p: LatticePath) -> PathClass:
@@ -108,16 +121,16 @@ def classify(p: LatticePath) -> PathClass:
     h = p.heights
     if h[-1] == 0:
         return PathClass.BALANCED
-    if all(x > 0 for x in h[1:]):
+    if min(h[1:]) > 0:
         return PathClass.UP_UNBALANCED
-    if all(x < 0 for x in h[1:]):
+    if max(h[1:]) < 0:
         return PathClass.DOWN_UNBALANCED
     return PathClass.OTHER
 
 
 def reflect_all(p: LatticePath) -> LatticePath:
     """Reflect about the baseline y=0: every step flipped, heights negated."""
-    return LatticePath(tuple(-s for s in p.steps))
+    return LatticePath._trusted(tuple(-s for s in p.steps))
 
 
 def reflect_segment(p: LatticePath, start: int, end: int) -> LatticePath:
@@ -131,12 +144,12 @@ def reflect_segment(p: LatticePath, start: int, end: int) -> LatticePath:
     steps = list(p.steps)
     for j in range(start, end):
         steps[j] = -steps[j]
-    return LatticePath(tuple(steps))
+    return LatticePath._trusted(tuple(steps))
 
 
 def concat(p1: LatticePath, p2: LatticePath) -> LatticePath:
     """Join two paths, the second starting where the first ends."""
-    return LatticePath(p1.steps + p2.steps)
+    return LatticePath._trusted(p1.steps + p2.steps)
 
 
 def max_height(p: LatticePath) -> Tuple[int, int]:
@@ -173,7 +186,7 @@ def unrank(length: int, code: int) -> LatticePath:
         raise RangeError(f"length must be in [0, {MAX_RANK_LENGTH}], got {length}")
     if not 0 <= code < (1 << length):
         raise RangeError(f"code {code} out of range for length {length}")
-    return LatticePath(tuple(UP if (code >> j) & 1 else DOWN for j in range(length)))
+    return LatticePath._trusted(tuple(UP if (code >> j) & 1 else DOWN for j in range(length)))
 
 
 def rank(p: LatticePath) -> int:

@@ -110,7 +110,7 @@ def render_svg(spec: RenderSpec) -> str:
                 f'<line x1="0" y1="{y(level)}" x2="{p.length * cell}" y2="{y(level)}" '
                 'stroke="red" stroke-width="1" stroke-dasharray="4 2" />'
             )
-    points = " ".join(f"{j * cell},{y(h[j])}" for j in range(p.length + 1))
+    points = " ".join([f"{j * cell},{(top - level) * cell}" for j, level in enumerate(h)])
     parts.append(f'<polyline points="{points}" fill="none" stroke="black" stroke-width="2" />')
     if spec.trace is not None:
         for tag, pts in (("B", spec.trace.b_points), ("G", spec.trace.g_points)):

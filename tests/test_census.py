@@ -129,6 +129,15 @@ class TestEnumerateClass:
             expected = [p for p, c in zip(paths, classes) if cls is None or c is cls]
             assert list(enumerate_class(length, cls)) == expected
 
+    @pytest.mark.parametrize("length", [15, 16, 17, 24, 25, 30])
+    def test_rows_match_unrank_past_two_bytes(self, length):
+        # the walk's lengths go to 30: codes of up to four bytes
+        rng = np.random.default_rng(length)
+        codes = [0, 1, (1 << length) - 1, *rng.integers(0, 1 << length, 200).tolist()]
+        rows = census._rows(np.array(codes, dtype=np.int32), length)
+        assert rows.dtype == np.int8
+        assert [tuple(row) for row in rows.tolist()] == [unrank(length, c).steps for c in codes]
+
     def test_chunk_determinism(self, monkeypatch):
         outputs = []
         for chunk in (7, 8, 40, 1 << 16):

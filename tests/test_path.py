@@ -1,6 +1,8 @@
+import random
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyckflip import (
@@ -10,13 +12,19 @@ from dyckflip import (
     RangeError,
     classify,
     concat,
+    decompose,
+    enumerate_class,
     format_path,
     max_height,
     parse_path,
+    phi,
+    phi_inverse,
     rank,
+    recompose,
     reflect_all,
     reflect_segment,
     rightmost_crossing,
+    split_at_last_zero,
     unrank,
 )
 
@@ -225,3 +233,119 @@ class TestRankUnrank:
             assert rank(p) == code
             seen.add(p.steps)
         assert len(seen) == 1 << length
+
+
+# per-step loop definitions of parse_path, heights and classify: the
+# references that the library's builtin-based versions must match
+
+
+def reference_parse(text, alphabet):
+    table = {"ud": {"U": 1, "D": -1}, "ne": {"N": 1, "E": -1}}[alphabet]
+    steps = []
+    for i, ch in enumerate(text.strip()):
+        step = table.get(ch.upper())
+        if step is None:
+            raise ParseError(f"invalid character {ch!r} for alphabet {alphabet!r}", i)
+        steps.append(step)
+    return tuple(steps)
+
+
+def reference_heights(steps):
+    h = [0]
+    acc = 0
+    for s in steps:
+        acc += s
+        h.append(acc)
+    return tuple(h)
+
+
+def reference_classify(steps):
+    h = reference_heights(steps)
+    if h[-1] == 0:
+        return PathClass.BALANCED
+    if all(x > 0 for x in h[1:]):
+        return PathClass.UP_UNBALANCED
+    if all(x < 0 for x in h[1:]):
+        return PathClass.DOWN_UNBALANCED
+    return PathClass.OTHER
+
+
+def outcome(parse, text, alphabet):
+    try:
+        return tuple(parse(text, alphabet))
+    except ParseError as exc:
+        return str(exc), exc.index
+
+
+# step letters of both alphabets, whitespace, and characters whose uppercase
+# is no step letter (ı -> I, ſ -> S, İ -> İ) or longer than one character
+# (ß -> SS, ﬀ -> FF)
+parse_texts = st.text(alphabet=st.sampled_from(list("udneUDNE \t\n\r\x0b\x0c\xa0\u2003xßıſİﬀ")), max_size=40)
+
+
+class TestAgainstReferenceDefinitions:
+    @settings(max_examples=500)
+    @given(parse_texts)
+    def test_parse_accepts_and_rejects_as_before(self, text):
+        for alphabet in ("ud", "ne"):
+            expected = outcome(reference_parse, text, alphabet)
+            assert outcome(lambda t, a: parse_path(t, a).steps, text, alphabet) == expected
+
+    @pytest.mark.parametrize("length", range(0, 15))
+    def test_heights_and_classify_exhaustive(self, length):
+        for code in range(1 << length):
+            p = unrank(length, code)
+            assert p.heights == reference_heights(p.steps)
+            assert classify(p) is reference_classify(p.steps)
+
+
+def assert_valid(p):
+    # what LatticePath(...) would have made of the same steps
+    assert type(p.steps) is tuple
+    assert all(type(s) is int and s in (1, -1) for s in p.steps)
+    assert p == LatticePath(p.steps)
+
+
+def library_paths(p):
+    """Every path the library builds from p without re-checking its steps."""
+    yield p
+    for alphabet in ("ud", "ne"):
+        yield parse_path(format_path(p, alphabet), alphabet)
+    yield reflect_all(p)
+    yield reflect_segment(p, p.length // 3, 2 * p.length // 3)
+    yield concat(p, reflect_all(p))
+    if p.length <= 62:
+        yield unrank(p.length, rank(p))
+    if p.length % 2 == 0:
+        yield from split_at_last_zero(p)
+    cls = classify(p)
+    if cls is PathClass.BALANCED:
+        yield phi(p)[0]
+        if p.length and p.steps[0] == 1:
+            d = decompose(p)
+            yield from (seg.steps for _, seg in d.parts)
+            yield recompose(d)
+    elif cls is not PathClass.OTHER and p.length % 2 == 0:
+        yield phi_inverse(p)[0]
+
+
+class TestTrustedConstruction:
+    @pytest.mark.parametrize("length", range(0, 13))
+    def test_exhaustive(self, length):
+        for code in range(1 << length):
+            for q in library_paths(unrank(length, code)):
+                assert_valid(q)
+        for cls in (None, *PathClass):
+            for q in enumerate_class(length, cls):
+                assert_valid(q)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(500, 5000), st.integers(0, 2**64 - 1))
+    def test_long_paths(self, n, seed):
+        steps = [1] * n + [-1] * n
+        random.Random(seed).shuffle(steps)
+        p = LatticePath(tuple(steps))
+        # p or its mirror starts up, and phi of both gives either unbalanced class
+        for q in (p, reflect_all(p), phi(p)[0], phi(reflect_all(p))[0]):
+            for r in library_paths(q):
+                assert_valid(r)
