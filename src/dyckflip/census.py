@@ -4,23 +4,33 @@ Two claims get checked here. First, the arithmetic identity
 
     sum_{i=0..n} C(2i,i) * C(2n-2i,n-i) = 4^n
 
-with the central binomials built by C(2i+2,i+1) = C(2i,i)*2(2i+1)/(i+1),
-and its structural counterpart: splitting every length-2n path at its last
-visit to height 0 buckets the 4^n paths into exactly C(2i,i)*C(2n-2i,n-i)
-per prefix half-length i. Second, that the partial-reflection map is a
-bijection between balanced and unbalanced paths of each even length,
-verified by sweeping the whole rank space: every balanced path is mapped,
-its image must never touch height 0 and must map back to it, and the two
-classes are counted. The inverse maps each image row on its own, so when
-every round trip holds it is a left inverse and the map is one-to-one;
-the touch check makes every image unbalanced, and as many distinct images
-as there are unbalanced paths are all of them, so the counts prove that
-the map is onto. One walk over all codes, a chunk at a time with one int8
-height per code, folds each path's last vertex at height 0, and both sweeps
-and `enumerate_class` read their classes off it: a path is balanced iff
-that is its last vertex, unbalanced iff its first. The bijection sweep
-decodes the chunk's balanced codes into int8 step rows for the row kernels
-of `bijection`, forward and back, which phi and phi_inverse run on one row.
+with each term built from the one before by their exact ratio
+(2i+1)(n-i) / ((i+1)(2n-2i-1)), starting from C(2n,n), and its structural
+counterpart: splitting every length-2n path at its last visit to height 0
+buckets the 4^n paths into exactly C(2i,i)*C(2n-2i,n-i) per prefix
+half-length i. Second, that the partial-reflection map is a bijection
+between balanced and unbalanced paths of each even length, verified by
+sweeping the whole rank space: every balanced path is mapped, its image
+must never touch height 0 and must map back to it, and the two classes are
+counted. The inverse maps each image row on its own, so when every round
+trip holds it is a left inverse and the map is one-to-one; the touch check
+makes every image unbalanced, and as many distinct images as there are
+unbalanced paths are all of them, so the counts prove that the map is onto.
+
+One walk over all codes, a chunk at a time, gives each path's last vertex
+at height 0, and both sweeps and `enumerate_class` read their classes off
+it: a path is balanced iff that is its last vertex, unbalanced iff its
+first. The walk splits each path into a prefix and a suffix, as the
+structural identity does, but after a fixed k steps: the code's low k bits
+and its high bits. A prefix table, built once a bit at a time, gives each
+low part its height and its last vertex at 0. A suffix row gives each high
+part, for every height in [-k, k] it may start from, the last vertex at
+which it is at 0. Cut at the multiples of 2^k, a chunk falls into runs of codes with
+one high part; a run's last vertices are the larger of a slice of the
+prefix table and that slice's heights looked up in the run's suffix row.
+The bijection sweep decodes the chunk's balanced codes into int8 step rows
+for the row kernels of `bijection`, forward and back, which phi and
+phi_inverse run on one row.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator, List, Literal, Optional, Tuple
+from typing import Callable, Iterator, List, Literal, Optional, Tuple
 
 import numpy as np
 
@@ -42,7 +52,8 @@ MAX_BIJECTION_N = 12
 MAX_STRUCTURAL_N = 12
 MAX_ARITHMETIC_N = 10_000
 # codes per chunk of the all-codes walk; any size gives the same reports,
-# it only bounds the memory of one chunk and of the rows it decodes
+# it bounds the memory of one chunk and of the rows it decodes, and its
+# bit length less one is the number of low bits in the walk's prefix table
 _CHUNK = 1 << 16
 
 IdentityMode = Literal["arithmetic", "structural"]
@@ -58,10 +69,7 @@ def binomial(n: int, k: int) -> int:
 def last_zero_touch(p: LatticePath) -> int:
     """Largest vertex index at height 0 (0 if the path never returns)."""
     h = p.heights
-    for j in range(len(h) - 1, -1, -1):
-        if h[j] == 0:
-            return j
-    return 0
+    return len(h) - 1 - h[::-1].index(0)  # h[0] = 0, so there is one
 
 
 def split_at_last_zero(p: LatticePath) -> Tuple[LatticePath, LatticePath]:
@@ -175,10 +183,13 @@ def exact_int_str() -> Iterator[None]:
 
 def identity_lhs(n: int) -> int:
     """The binomial convolution sum_{i} C(2i,i) * C(2n-2i,n-i)."""
-    c = [1]  # c[i] = C(2i, i), by the exact recurrence
+    # term i + 1 is term i times (2i+1)(n-i) / ((i+1)(2n-2i-1)), exactly
+    t = comb(2 * n, n)
+    total = t
     for i in range(n):
-        c.append(c[i] * 2 * (2 * i + 1) // (i + 1))
-    return sum(c[i] * c[n - i] for i in range(n + 1))
+        t = t * ((2 * i + 1) * (n - i)) // ((i + 1) * (2 * n - 2 * i - 1))
+        total += t
+    return total
 
 
 def _rows(codes: np.ndarray, length: int) -> np.ndarray:
@@ -194,18 +205,62 @@ def _rows(codes: np.ndarray, length: int) -> np.ndarray:
 def _last_zero(length: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """(codes, last) per chunk of all 2^length codes in rank order: last[r] is
     the last vertex of the path of codes[r] at height 0, 0 if it never returns."""
+    last_of = _last_zero_tables(length)
     total = 1 << length
     for lo in range(0, total, _CHUNK):
+        hi = min(lo + _CHUNK, total)
         # length <= 30, so int32 holds every code, int8 every height and index
-        codes = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int32)
-        h = np.zeros(len(codes), dtype=np.int8)
-        last = np.zeros(len(codes), dtype=np.int8)
-        for c in range(length):
-            # step c + 1 of a code is Up iff its bit c is set
-            h += 2 * ((codes >> c) & 1).astype(np.int8) - 1
-            # the vertex index only grows, so the largest mark is the last
-            np.maximum(last, (h == 0).view(np.int8) * np.int8(c + 1), out=last)
-        yield codes, last
+        yield np.arange(lo, hi, dtype=np.int32), last_of(lo, hi)
+
+
+def _last_zero_tables(length: int) -> Callable[[int, int], np.ndarray]:
+    """last_of(lo, hi): the last vertex at height 0 of the path of each code
+    in [lo, hi), from a table of the low k bits and one of the high bits."""
+    # a code is a high part over k low bits; the chunk size fixes k, so one
+    # chunk of the default size is one run of codes with the same high part,
+    # and k is at least half the length, so that no chunk size, however
+    # small, makes the suffix table longer than 2^15 rows
+    k = min(length, max(_CHUNK.bit_length() - 1, (length + 1) // 2))
+    # the prefix table: each low part's height after its k steps, as an
+    # index into a suffix row, and its last vertex at 0 among them; the
+    # indices are int16, a quarter of the size of intp, and take widens
+    # only one run's worth of them at a time
+    height, low_last = _returns(k, 0, 0)
+    row_index = np.add(height, k, dtype=np.int16)
+    low_last = low_last[:, 0]
+    # the suffix rows: per high part and start height v in [-k, k], the last
+    # vertex k + t at which its t-step suffix, started at v, is at 0; 0 if none
+    _, suffix = _returns(length - k, k, k)
+
+    def last_of(lo: int, hi: int) -> np.ndarray:
+        last = np.empty(hi - lo, dtype=np.int8)
+        # runs of codes with one high part, cut at the multiples of 2^k
+        cuts = [lo, *range(((lo >> k) + 1) << k, hi, 1 << k), hi]
+        for a, b in zip(cuts, cuts[1:]):
+            base = a >> k << k
+            low = slice(a - base, b - base)
+            # a return in the suffix comes after every vertex of the low part
+            np.maximum(low_last[low], suffix[a >> k].take(row_index[low]), out=last[a - lo : b - lo])
+        return last
+
+    return last_of
+
+
+def _returns(steps: int, width: int, offset: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(height, table) for every code of the given number of steps: its end
+    height and, per start height v in [-width, width], the last vertex
+    offset + t at which the path started at v is at height 0, 0 if none."""
+    h = np.zeros(1, dtype=np.int8)
+    table = np.zeros((1, 2 * width + 1), dtype=np.int8)
+    for t in range(steps):
+        # the codes of t + 1 bits: those of t bits with step t + 1 down, then
+        # the same with it up
+        h = np.concatenate([h - 1, h + 1])
+        table = np.concatenate([table, table])
+        # the vertex index only grows, so a later mark overwrites an earlier
+        seen = np.flatnonzero(np.abs(h) <= width)
+        table[seen, width - h[seen]] = offset + t + 1
+    return h, table
 
 
 def verify_bijection(n: int) -> CensusReport:
@@ -268,10 +323,11 @@ def verify_bijection(n: int) -> CensusReport:
 def verify_identity(n: int, mode: IdentityMode = "arithmetic") -> CensusReport:
     """Check the central-binomial convolution identity for one n.
 
-    Arithmetic mode evaluates both sides with exact integers, the central
-    binomials by recurrence. Structural mode reads the last visit to height
-    0 of each of the 4^n paths off the one all-codes walk, tallies them by
-    prefix half-length and compares the tallies with the binomial products.
+    Arithmetic mode evaluates both sides with exact integers, each term of
+    the sum from the one before by their ratio. Structural mode reads the
+    last visit to height 0 of each of the 4^n paths off the one all-codes
+    walk, tallies them by prefix half-length and compares the tallies with
+    the binomial products.
     """
     start = time.perf_counter()
     if mode == "arithmetic":

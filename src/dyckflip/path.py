@@ -154,13 +154,9 @@ def concat(p1: LatticePath, p2: LatticePath) -> LatticePath:
 
 def max_height(p: LatticePath) -> Tuple[int, int]:
     """(maximum height, leftmost vertex index attaining it)."""
-    best = 0
-    best_j = 0
-    for j, h in enumerate(p.heights):
-        if h > best:
-            best = h
-            best_j = j
-    return best, best_j
+    h = p.heights
+    m = max(h)  # at least h[0] = 0
+    return m, h.index(m)
 
 
 def rightmost_crossing(p: LatticePath, level: int, search_end: int) -> Optional[int]:

@@ -99,6 +99,32 @@ class TestSplitting:
         assert len(seen) == 1 << length
 
 
+class TestLastZeroWalk:
+    @pytest.mark.parametrize("length", range(0, 17))
+    def test_matches_per_path_reference(self, monkeypatch, length):
+        expected = [last_zero_touch(unrank(length, code)) for code in range(1 << length)]
+        for chunk in (7, 8, 40, 1 << 16):
+            monkeypatch.setattr(census, "_CHUNK", chunk)
+            chunks = list(census._last_zero(length))
+            assert all(last.dtype == np.int8 for _, last in chunks)
+            assert np.concatenate([codes for codes, _ in chunks]).tolist() == list(range(1 << length))
+            assert np.concatenate([last for _, last in chunks]).tolist() == expected
+
+    @pytest.mark.parametrize("length", range(17, 31))
+    def test_tables_match_per_path_reference_past_one_run(self, length):
+        # a whole walk of 2^30 codes takes seconds; the tables answer any
+        # range of codes, here single codes and windows across the ends of
+        # runs, which are 2^16 codes long at the default chunk size
+        rng = np.random.default_rng(length)
+        last_of = census._last_zero_tables(length)
+        codes = [0, (1 << length) - 1, *rng.integers(0, 1 << length, 300).tolist()]
+        for code in codes:
+            assert last_of(code, code + 1).tolist() == [last_zero_touch(unrank(length, code))]
+        for run_end in rng.integers(1, 1 << (length - 16), 5).tolist():
+            lo, hi = (run_end << 16) - 40, (run_end << 16) + 40
+            assert last_of(lo, hi).tolist() == [last_zero_touch(unrank(length, c)) for c in range(lo, hi)]
+
+
 class TestEnumerateClass:
     def test_examples(self):
         assert {format_path(p) for p in enumerate_class(2, PathClass.BALANCED)} == {
@@ -317,11 +343,20 @@ class TestVerifyIdentity:
         assert len(set(reports)) == 1
 
     def test_identity_lhs_matches_brute_sum(self):
-        for n in range(0, 30):
-            brute = sum(
-                pascal(2 * i, i) * pascal(2 * (n - i), n - i) for i in range(n + 1)
-            )
+        # the central binomials off one pass down Pascal's triangle, as pascal builds it
+        central, row = [], [1]
+        for m in range(600):
+            if m % 2 == 0:
+                central.append(row[m // 2])
+            row = [a + b for a, b in zip([0] + row, row + [0])]
+        for n in range(0, 300):
+            brute = sum(central[i] * central[n - i] for i in range(n + 1))
             assert identity_lhs(n) == brute == 4**n
+
+    @pytest.mark.parametrize("n", [7143, census.MAX_ARITHMETIC_N])
+    def test_identity_lhs_past_int_digit_limit(self, n):
+        # 4^7143 is the first power of 4 with more than 4300 digits
+        assert identity_lhs(n) == 4**n
 
     def test_range_errors(self):
         with pytest.raises(RangeError):

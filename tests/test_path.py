@@ -15,6 +15,7 @@ from dyckflip import (
     decompose,
     enumerate_class,
     format_path,
+    last_zero_touch,
     max_height,
     parse_path,
     phi,
@@ -270,6 +271,24 @@ def reference_classify(steps):
     return PathClass.OTHER
 
 
+def reference_max_height(steps):
+    best = 0
+    best_j = 0
+    for j, h in enumerate(reference_heights(steps)):
+        if h > best:
+            best = h
+            best_j = j
+    return best, best_j
+
+
+def reference_last_zero_touch(steps):
+    h = reference_heights(steps)
+    for j in range(len(h) - 1, -1, -1):
+        if h[j] == 0:
+            return j
+    return 0
+
+
 def outcome(parse, text, alphabet):
     try:
         return tuple(parse(text, alphabet))
@@ -297,6 +316,13 @@ class TestAgainstReferenceDefinitions:
             p = unrank(length, code)
             assert p.heights == reference_heights(p.steps)
             assert classify(p) is reference_classify(p.steps)
+
+    @pytest.mark.parametrize("length", range(0, 15))
+    def test_max_height_and_last_zero_touch_exhaustive(self, length):
+        for code in range(1 << length):
+            p = unrank(length, code)
+            assert max_height(p) == reference_max_height(p.steps)
+            assert last_zero_touch(p) == reference_last_zero_touch(p.steps)
 
 
 def assert_valid(p):
