@@ -42,7 +42,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Tuple
+from itertools import accumulate
+from operator import sub
+from typing import Tuple
 
 import numpy as np
 
@@ -54,6 +56,8 @@ from .errors import (
 )
 from .path import (
     DOWN,
+    DOWN_BYTE,
+    UP,
     LatticePath,
     PathClass,
     classify,
@@ -123,28 +127,31 @@ def phi_inverse_rows(steps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def _trace(kept: np.ndarray, direction: Direction, s: int) -> BijectionTrace:
     """Trace of the forward map of a balanced path whose first step is s,
     from the kept-step mask of its up-start mirror."""
-    # the first step is kept and the last is not, so the vertices where the
-    # mask changes are the end of the first run, then start, end, ...
-    edges = (np.flatnonzero(kept[1:] != kept[:-1]) + 1).tolist()
-    b_points: List[Point] = []
-    g_points: List[Point] = []
-    top = 0
-    for start, end in zip([0, *edges[1::2]], edges[::2]):
-        if top:
-            # a later run starts at the previous peak height, in the image too
-            g_points.append((start, s * top))
-        top += end - start
-        b_points.append((end, s * top))
-    g_points.append((len(kept), s * 2 * top))
-    b_points.reverse()
-    g_points.reverse()
+    # the vertices where the mask changes, after 0: the first step is kept
+    # and the last is not, so they are the end of the first run of kept
+    # steps, then the start and end of each later one
+    edges = [0, *((kept[1:] != kept[:-1]).nonzero()[0] + 1).tolist()]
+    starts = edges[::2]
+    ends = edges[1::2]
+    # the peak heights times s, right to left; each later run starts at the
+    # height of the peak before it, in the image too
+    peaks = list(accumulate(map(sub, ends, starts) if s == UP else map(sub, starts, ends)))[::-1]
     return BijectionTrace(
-        b_points=tuple(b_points),
-        g_points=tuple(g_points),
-        reflection_lines=tuple(h for _, h in b_points),
+        b_points=tuple(zip(ends[::-1], peaks)),
+        g_points=((len(kept), 2 * peaks[0]), *zip(starts[:0:-1], peaks[1:])),
+        reflection_lines=tuple(peaks),
         direction=direction,
         conjugated=s == DOWN,
     )
+
+
+def _row(p: LatticePath) -> np.ndarray:
+    """The steps of p as one read-only int8 row, sharing its buffer."""
+    return np.frombuffer(p._buf, dtype=np.int8).reshape(1, -1)
+
+
+def _first_step(p: LatticePath) -> int:
+    return DOWN if p._buf.startswith(DOWN_BYTE) else UP
 
 
 def phi(p: LatticePath) -> Tuple[LatticePath, BijectionTrace]:
@@ -153,8 +160,8 @@ def phi(p: LatticePath) -> Tuple[LatticePath, BijectionTrace]:
         return p, _empty_trace(Direction.FORWARD)
     if p.end_height != 0:
         raise NotBalancedError("input path must end at height 0")
-    image, kept = phi_rows(np.array([p.steps], dtype=np.int8))
-    return LatticePath._trusted(tuple(image[0].tolist())), _trace(kept[0], Direction.FORWARD, p.steps[0])
+    image, kept = phi_rows(_row(p))
+    return LatticePath._trusted(image.tobytes()), _trace(kept[0], Direction.FORWARD, _first_step(p))
 
 
 def phi_inverse(p: LatticePath) -> Tuple[LatticePath, BijectionTrace]:
@@ -166,8 +173,8 @@ def phi_inverse(p: LatticePath) -> Tuple[LatticePath, BijectionTrace]:
     cls = classify(p)
     if cls not in (PathClass.UP_UNBALANCED, PathClass.DOWN_UNBALANCED):
         raise NotUnbalancedError(f"input path is {cls.value}, expected unbalanced")
-    pre, kept = phi_inverse_rows(np.array([p.steps], dtype=np.int8))
-    return LatticePath._trusted(tuple(pre[0].tolist())), _trace(kept[0], Direction.INVERSE, p.steps[0])
+    pre, kept = phi_inverse_rows(_row(p))
+    return LatticePath._trusted(pre.tobytes()), _trace(kept[0], Direction.INVERSE, _first_step(p))
 
 
 def verify_roundtrip(p: LatticePath) -> bool:
@@ -190,7 +197,7 @@ def compose_law_check(t1: LatticePath, t2: LatticePath) -> bool:
         raise PreconditionError("t1 must be nonempty")
     if t1.end_height != 0:
         raise PreconditionError("t1 must be balanced")
-    if t1.steps[0] == DOWN:
+    if _first_step(t1) == DOWN:
         raise PreconditionError("t1 must start with an upstep")
     if t2.end_height != 0:
         raise PreconditionError("t2 must be balanced")

@@ -80,7 +80,7 @@ def split_at_last_zero(p: LatticePath) -> Tuple[LatticePath, LatticePath]:
     if p.length % 2:
         raise OddLengthError("split requires an even-length path")
     j = last_zero_touch(p)
-    return LatticePath._trusted(p.steps[:j]), LatticePath._trusted(p.steps[j:])
+    return LatticePath._trusted(p._buf[:j]), LatticePath._trusted(p._buf[j:])
 
 
 def enumerate_class(length: int, cls: Optional[PathClass] = None) -> Iterator[LatticePath]:
@@ -97,8 +97,11 @@ def enumerate_class(length: int, cls: Optional[PathClass] = None) -> Iterator[La
             # the index of each class in PathClass: balanced, up, down, other
             kind = np.where(last == length, 0, np.where(last == 0, 2 - (codes & 1), 3))
             codes = codes[kind == list(PathClass).index(cls)]
-        for row in _rows(codes, length):
-            yield LatticePath._trusted(tuple(row.tolist()))
+        # slices of a view, not of one copy of the chunk's rows, which would
+        # hold both at once
+        rows = memoryview(_rows(codes, length).ravel())
+        for i in range(len(codes)):
+            yield LatticePath._trusted(rows[i * length : (i + 1) * length].tobytes())
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
 from typing import List, Tuple
 
 from .errors import (
@@ -24,7 +23,7 @@ from .errors import (
     NotBalancedError,
     ValidationError,
 )
-from .path import DOWN, UP, LatticePath
+from .path import DOWN_BYTE, UP_BYTE, LatticePath
 
 
 class SegmentKind(Enum):
@@ -62,37 +61,36 @@ def decompose(p: LatticePath) -> Decomposition:
     that reach a new strict maximum height, and their ends are the peaks.
     They climb from 0 to the maximum one level per step, so each peak sits
     at the total length of the runs up to it, and each segment runs from
-    its peak to the start of the next run, the last one to the end.
+    its peak to the start of the next run, the last one to the end. A run
+    ends at the next down-step, and the next one starts one vertex before
+    the first visit to the level above its peak.
     """
     if p.length == 0:
         raise EmptyPathError("cannot decompose the empty path")
     if p.end_height != 0:
         raise NotBalancedError("path does not end at height 0")
-    if p.steps[0] == DOWN:
+    if p._buf.startswith(DOWN_BYTE):
         raise DownStartError("path starts with a downstep; reflect it first")
 
-    runs: List[List[int]] = []  # [start, end] vertex pairs, left to right
-    h = top = 0
-    for j, s in enumerate(p.steps):
-        h += s
-        if h > top:
-            top = h
-            if runs and runs[-1][1] == j:
-                runs[-1][1] = j + 1
-            else:
-                runs.append([j, j + 1])
+    buf, h = p._buf, p.heights
     parts = []
-    for k, (start, end) in enumerate(runs):
-        if k + 1 < len(runs):
-            seg_end, kind = runs[k + 1][0], SegmentKind.DOWN_DYCK
-        else:
-            seg_end, kind = p.length, SegmentKind.DOWN_UNBALANCED
-        parts.append((end - start, Segment(kind, LatticePath._trusted(p.steps[end:seg_end]), end)))
-    return Decomposition(
-        parts=tuple(parts),
-        peak_indices=tuple(end for _, end in runs),
-        peak_heights=tuple(accumulate(end - start for start, end in runs)),
-    )
+    peak_indices = []
+    peak_heights = []
+    start = top = 0
+    kind = SegmentKind.DOWN_DYCK
+    while kind is SegmentKind.DOWN_DYCK:
+        # a balanced path comes down from every peak
+        end = buf.find(DOWN_BYTE, start)
+        top += end - start
+        try:
+            next_start = h.index(top + 1, end) - 1
+        except ValueError:
+            next_start, kind = p.length, SegmentKind.DOWN_UNBALANCED
+        parts.append((end - start, Segment(kind, LatticePath._trusted(buf[end:next_start]), end)))
+        peak_indices.append(end)
+        peak_heights.append(top)
+        start = next_start
+    return Decomposition(parts=tuple(parts), peak_indices=tuple(peak_indices), peak_heights=tuple(peak_heights))
 
 
 def validate(d: Decomposition) -> List[str]:
@@ -124,9 +122,9 @@ def validate(d: Decomposition) -> List[str]:
         rel = seg.steps.heights
         if seg.steps.length == 0:
             violations.append(f"part {k}: empty segment")
-        elif seg.steps.steps[0] != DOWN:
+        elif not seg.steps._buf.startswith(DOWN_BYTE):
             violations.append(f"part {k}: segment does not start with a downstep")
-        if any(x > 0 for x in rel):
+        if max(rel) > 0:
             violations.append(f"part {k}: segment rises above its start level")
         if seg.kind is SegmentKind.DOWN_DYCK and rel[-1] != 0:
             violations.append(f"part {k}: down-Dyck segment ends at relative height {rel[-1]}, not 0")
@@ -148,8 +146,4 @@ def recompose(d: Decomposition) -> LatticePath:
     violations = validate(d)
     if violations:
         raise ValidationError(violations[0])
-    steps = []
-    for up_len, seg in d.parts:
-        steps.extend([UP] * up_len)
-        steps.extend(seg.steps.steps)
-    return LatticePath._trusted(tuple(steps))
+    return LatticePath._trusted(b"".join([UP_BYTE * up_len + seg.steps._buf for up_len, seg in d.parts]))

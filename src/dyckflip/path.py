@@ -9,11 +9,10 @@ profile h_0=0, h_1, ..., h_L is the running sum of steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import struct
 from enum import Enum
-from functools import cached_property
 from itertools import accumulate
-from typing import Iterator, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 from .errors import ParseError, RangeError
 
@@ -23,6 +22,9 @@ MAX_RANK_LENGTH = 62
 
 UP = 1
 DOWN = -1
+# the steps as the bytes of LatticePath._buf: int8 +1 and -1
+UP_BYTE = b"\x01"
+DOWN_BYTE = b"\xff"
 
 
 class PathClass(Enum):
@@ -32,56 +34,98 @@ class PathClass(Enum):
     OTHER = "Other"
 
 
-_ALPHABETS = {
-    "ud": {"U": UP, "D": DOWN},
-    "ne": {"N": UP, "E": DOWN},
-}
-_LETTERS = {
-    "ud": {UP: "U", DOWN: "D"},
-    "ne": {UP: "N", DOWN: "E"},
-}
+def _alphabet(up: str, down: str) -> Tuple[Tuple[str, str], bytes, bytes]:
+    """(letters, parse table, format table) of an alphabet. The tables are
+    for bytes.translate: the parse table maps either case of each letter to
+    its step byte and every other byte to 0, the format table maps the step
+    bytes to the uppercase letters."""
+    parse = bytearray(256)
+    for letter, step in ((up, UP_BYTE), (down, DOWN_BYTE)):
+        parse[ord(letter)] = parse[ord(letter.lower())] = step[0]
+    return (up, down), bytes(parse), bytes.maketrans(UP_BYTE + DOWN_BYTE, (up + down).encode("ascii"))
 
 
-@dataclass(frozen=True)
+_ALPHABETS = {"ud": _alphabet("U", "D"), "ne": _alphabet("N", "E")}
+_FLIP = bytes.maketrans(UP_BYTE + DOWN_BYTE, DOWN_BYTE + UP_BYTE)
+# the binary digits of rank and unrank codes: Up is 1, Down is 0
+_BITS = bytes.maketrans(UP_BYTE + DOWN_BYTE, b"10")
+_UNBITS = bytes.maketrans(b"10", UP_BYTE + DOWN_BYTE)
+
+
 class LatticePath:
     """An immutable sequence of +1/-1 steps with a derived height profile.
 
+    The steps are held as one bytes object, `_buf`, of int8 +1 and -1
+    (UP_BYTE and DOWN_BYTE); `steps` and `heights` are tuples of Python ints
+    built from it on first use and kept. Equality, hashing and repr follow
+    the steps.
+
     `LatticePath(steps)` converts every step with int() and rejects any that
-    is not +1 or -1. `LatticePath._trusted(steps)` stores its argument
-    unchecked, so library code in this package calls it only on a tuple of
-    Python ints +1/-1 that it has just built or already validated: parsed
-    letters, the int8 rows of the map kernels after .tolist(), slices,
-    negations and joins of steps of existing paths, and decoded codes.
+    is not +1 or -1. `LatticePath._trusted(buf)` stores its argument
+    unchecked, so library code in this package calls it only on a bytes
+    object of UP_BYTE and DOWN_BYTE that it has just built or taken from
+    existing paths: translated text that it checked for bad letters, the
+    int8 rows of the map kernels and of decoded codes after .tobytes(), and
+    slices, translations and joins of the buffers of existing paths.
     """
 
-    steps: Tuple[int, ...]
+    __slots__ = ("_buf", "_steps", "_heights")
 
-    def __post_init__(self) -> None:
-        cleaned = tuple(map(int, self.steps))
-        if not {UP, DOWN}.issuperset(cleaned):
+    def __init__(self, steps: Iterable[int]) -> None:
+        cleaned = tuple(map(int, steps))
+        try:
+            buf = struct.pack(f"{len(cleaned)}b", *cleaned)
+        except struct.error:  # a step outside the int8 range
+            buf = b"\0"
+        # every step is +1 or -1 iff deleting their bytes leaves nothing
+        if buf.translate(None, UP_BYTE + DOWN_BYTE):
             raise ValueError("steps must be +1 (Up) or -1 (Down)")
-        object.__setattr__(self, "steps", cleaned)
+        self._buf = buf
+        self._steps = cleaned
 
     @classmethod
-    def _trusted(cls, steps: Tuple[int, ...]) -> LatticePath:
+    def _trusted(cls, buf: bytes) -> LatticePath:
         p = object.__new__(cls)
-        object.__setattr__(p, "steps", steps)
+        p._buf = buf
         return p
 
-    @cached_property
+    @property
+    def steps(self) -> Tuple[int, ...]:
+        try:
+            return self._steps
+        except AttributeError:
+            self._steps = steps = struct.unpack(f"{len(self._buf)}b", self._buf)
+            return steps
+
+    @property
     def heights(self) -> Tuple[int, ...]:
-        return tuple(accumulate(self.steps, initial=0))
+        try:
+            return self._heights
+        except AttributeError:
+            self._heights = h = tuple(accumulate(self.steps, initial=0))
+            return h
 
     @property
     def length(self) -> int:
-        return len(self.steps)
+        return len(self._buf)
 
     @property
     def end_height(self) -> int:
-        return self.heights[-1]
+        return 2 * self._buf.count(UP_BYTE) - len(self._buf)
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self._buf)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._buf == other._buf
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._buf)
+
+    def __repr__(self) -> str:
+        return f"LatticePath(steps={self.steps!r})"
 
     def __str__(self) -> str:
         return format_path(self) or "(empty)"
@@ -92,24 +136,24 @@ def parse_path(text: str, alphabet: str = "ud") -> LatticePath:
 
     Surrounding whitespace is allowed; empty text yields the empty path.
     """
-    table = _ALPHABETS[alphabet.lower()]
+    letters, table, _ = _ALPHABETS[alphabet.lower()]
     stripped = text.strip()
-    upper = stripped.upper()
-    # a character whose uppercase is longer (such as "ß") is never a step
-    # letter; with none, upper[i] is the uppercase of stripped[i]
-    if len(upper) == len(stripped):
-        try:
-            return LatticePath._trusted(tuple(map(table.__getitem__, upper)))
-        except KeyError:
-            pass
-    i, ch = next((i, ch) for i, ch in enumerate(stripped) if ch.upper() not in table)
+    # no character outside ASCII has a step letter as its uppercase, so text
+    # that does not encode holds a bad character, as does text with a byte
+    # that the table maps to 0
+    try:
+        buf = stripped.encode("ascii").translate(table)
+    except UnicodeEncodeError:
+        buf = b"\0"
+    if 0 not in buf:
+        return LatticePath._trusted(buf)
+    i, ch = next((i, ch) for i, ch in enumerate(stripped) if ch.upper() not in letters)
     raise ParseError(f"invalid character {ch!r} for alphabet {alphabet!r}", i)
 
 
 def format_path(p: LatticePath, alphabet: str = "ud") -> str:
     """Canonical uppercase text for a path; inverse of parse_path."""
-    letters = _LETTERS[alphabet.lower()]
-    return "".join(map(letters.__getitem__, p.steps))
+    return p._buf.translate(_ALPHABETS[alphabet.lower()][2]).decode("ascii")
 
 
 def classify(p: LatticePath) -> PathClass:
@@ -118,19 +162,18 @@ def classify(p: LatticePath) -> PathClass:
     Balanced means ending at height 0 (the empty path included); the
     unbalanced classes never re-touch 0 after the start.
     """
-    h = p.heights
-    if h[-1] == 0:
+    if p.end_height == 0:
         return PathClass.BALANCED
-    if min(h[1:]) > 0:
-        return PathClass.UP_UNBALANCED
-    if max(h[1:]) < 0:
-        return PathClass.DOWN_UNBALANCED
-    return PathClass.OTHER
+    h = p.heights
+    # with unit steps, a path that never re-touches 0 keeps its first step's sign
+    if h.count(0) > 1:
+        return PathClass.OTHER
+    return PathClass.UP_UNBALANCED if h[1] > 0 else PathClass.DOWN_UNBALANCED
 
 
 def reflect_all(p: LatticePath) -> LatticePath:
     """Reflect about the baseline y=0: every step flipped, heights negated."""
-    return LatticePath._trusted(tuple(-s for s in p.steps))
+    return LatticePath._trusted(p._buf.translate(_FLIP))
 
 
 def reflect_segment(p: LatticePath, start: int, end: int) -> LatticePath:
@@ -141,15 +184,13 @@ def reflect_segment(p: LatticePath, start: int, end: int) -> LatticePath:
     """
     if not 0 <= start <= end <= p.length:
         raise IndexError(f"segment [{start}, {end}) out of bounds for length {p.length}")
-    steps = list(p.steps)
-    for j in range(start, end):
-        steps[j] = -steps[j]
-    return LatticePath._trusted(tuple(steps))
+    buf = p._buf
+    return LatticePath._trusted(buf[:start] + buf[start:end].translate(_FLIP) + buf[end:])
 
 
 def concat(p1: LatticePath, p2: LatticePath) -> LatticePath:
     """Join two paths, the second starting where the first ends."""
-    return LatticePath._trusted(p1.steps + p2.steps)
+    return LatticePath._trusted(p1._buf + p2._buf)
 
 
 def max_height(p: LatticePath) -> Tuple[int, int]:
@@ -182,14 +223,17 @@ def unrank(length: int, code: int) -> LatticePath:
         raise RangeError(f"length must be in [0, {MAX_RANK_LENGTH}], got {length}")
     if not 0 <= code < (1 << length):
         raise RangeError(f"code {code} out of range for length {length}")
-    return LatticePath._trusted(tuple(UP if (code >> j) & 1 else DOWN for j in range(length)))
+    # the code's binary digits, low bit first, less the leading 1 that keeps
+    # their count at length
+    low_first = bin(code | 1 << length)[:2:-1]
+    return LatticePath._trusted(low_first.encode("ascii").translate(_UNBITS))
 
 
 def rank(p: LatticePath) -> int:
     """Inverse of unrank: the bitmask code of a path."""
     if p.length > MAX_RANK_LENGTH:
         raise RangeError(f"length must be <= {MAX_RANK_LENGTH}, got {p.length}")
-    return sum(1 << j for j, s in enumerate(p.steps) if s == UP)
+    return int(b"0" + p._buf[::-1].translate(_BITS), 2)
 
 
 def all_paths(length: int) -> Iterator[LatticePath]:

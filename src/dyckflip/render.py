@@ -110,7 +110,13 @@ def render_svg(spec: RenderSpec) -> str:
                 f'<line x1="0" y1="{y(level)}" x2="{p.length * cell}" y2="{y(level)}" '
                 'stroke="red" stroke-width="1" stroke-dasharray="4 2" />'
             )
-    points = " ".join([f"{j * cell},{(top - level) * cell}" for j, level in enumerate(h)])
+    # one % format over the x coordinates, exact ints that grow without bound
+    # with the cell size, interleaved with a ",y " label per height
+    labels = {level: f",{y(level)} " for level in range(bottom, top + 1)}
+    xy = [0] * (2 * len(h))
+    xy[::2] = range(0, len(h) * cell, cell)
+    xy[1::2] = map(labels.__getitem__, h)
+    points = ("%d%s" * len(h) % tuple(xy))[:-1]
     parts.append(f'<polyline points="{points}" fill="none" stroke="black" stroke-width="2" />')
     if spec.trace is not None:
         for tag, pts in (("B", spec.trace.b_points), ("G", spec.trace.g_points)):

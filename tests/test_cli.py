@@ -112,6 +112,15 @@ class TestStdinPiping:
             assert code == 0
             assert out == text + "\n"
 
+    @pytest.mark.parametrize("raw, index", [(b"UD\xffD", 2), (b"\xc3(", 0), (b"U\xed\xa0\x80", 1)])
+    def test_stdin_not_utf8_is_a_parse_error(self, capsys, monkeypatch, raw, index):
+        # undecodable bytes arrive as lone surrogates, as on a POSIX stdin
+        stdin = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="surrogateescape")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run(capsys, "map", "-")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Parse: invalid character '\\udc") and err.endswith(f"(index {index})\n")
+
 
 class TestBrokenPipe:
     def test_write_to_closed_stdout_exits_quietly(self, capsys, monkeypatch, tmp_path):

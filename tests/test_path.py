@@ -1,4 +1,5 @@
 import random
+from array import array
 
 import numpy as np
 import pytest
@@ -44,11 +45,80 @@ def brute_classify(p: LatticePath) -> PathClass:
     return PathClass.OTHER
 
 
+def reference_construct(steps):
+    # the step check of LatticePath(steps) when it stored the tuple itself
+    cleaned = tuple(map(int, steps))
+    if not {1, -1}.issuperset(cleaned):
+        raise ValueError("steps must be +1 (Up) or -1 (Down)")
+    return cleaned
+
+
+def construct_outcome(make, steps):
+    try:
+        return "accepted", make(steps)
+    except Exception as exc:
+        return "rejected", type(exc), str(exc)
+
+
+step_values = st.one_of(
+    st.sampled_from(
+        [1, -1, 0, 2, -2, 127, 128, -128, -129, 255, 256, 10**30, -(10**30)]
+        + [True, False, 1.0, -1.0, 0.5, -1.5, float("nan"), float("inf")]
+        + ["1", "-1", " +1 ", "0", "x", "", "１", b"1", b"-1", None, 1j, (), [1]]
+        + [np.int8(-1), np.int64(1), np.uint8(255), np.int16(-128), np.float64(-1.0)]
+    ),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=3),
+)
+
+
 class TestStepValidation:
     def test_int_like_steps_accepted(self):
         p = LatticePath((True, 1.0, np.int8(-1)))
         assert p.steps == (1, 1, -1)
         assert all(type(s) is int for s in p.steps)
+
+    @settings(max_examples=500)
+    @given(st.one_of(st.lists(step_values, max_size=6), st.text(alphabet="1-+ 0", max_size=6), st.binary(max_size=6)))
+    def test_accepts_and_rejects_as_before(self, steps):
+        expected = construct_outcome(reference_construct, steps)
+        assert construct_outcome(lambda s: LatticePath(s).steps, steps) == expected
+        if expected[0] == "accepted":
+            # a one-shot iterator is read once, into both views
+            p = LatticePath(iter(steps))
+            assert all(type(s) is int for s in p.steps)
+            assert p._buf == array("b", expected[1]).tobytes()
+
+    def test_equality_hash_and_repr_follow_the_steps(self):
+        for length in range(0, 9):
+            enumerated = list(enumerate_class(length))
+            for code in range(1 << length):
+                p = unrank(length, code)
+                steps = p.steps
+                same = [
+                    LatticePath(steps),
+                    LatticePath([float(s) for s in steps]),
+                    LatticePath(np.array(steps, dtype=np.int8)),
+                    LatticePath._trusted(array("b", steps).tobytes()),
+                    parse_path(format_path(p)),
+                    parse_path(format_path(p, "ne").lower(), "ne"),
+                    reflect_all(reflect_all(p)),
+                    concat(LatticePath(()), p),
+                    enumerated[code],
+                ]
+                for q in same:
+                    assert q == p and not q != p
+                    assert hash(q) == hash(p)
+                    assert repr(q) == f"LatticePath(steps={steps!r})"
+                assert len({p, *same}) == 1
+                if length:
+                    assert reflect_all(p) != p
+                assert p != steps and p != p._buf
+        assert repr(parse_path("UD")) == "LatticePath(steps=(1, -1))"
+        assert repr(LatticePath(())) == "LatticePath(steps=())"
+        assert str(LatticePath(())) == "(empty)"
+        assert str(parse_path("ud")) == "UD"
 
     @pytest.mark.parametrize(
         "bad, error",
@@ -296,10 +366,14 @@ def outcome(parse, text, alphabet):
         return str(exc), exc.index
 
 
-# step letters of both alphabets, whitespace, and characters whose uppercase
-# is no step letter (ı -> I, ſ -> S, İ -> İ) or longer than one character
-# (ß -> SS, ﬀ -> FF)
-parse_texts = st.text(alphabet=st.sampled_from(list("udneUDNE \t\n\r\x0b\x0c\xa0\u2003xßıſİﬀ")), max_size=40)
+# step letters of both alphabets, whitespace, characters whose uppercase is
+# no step letter (ı -> I, ſ -> S, İ -> İ) or longer than one character
+# (ß -> SS, ﬀ -> FF), NUL, fullwidth step letters, and lone surrogates, which
+# is what `map -` reads for bytes of stdin that are not UTF-8
+parse_texts = st.text(
+    alphabet=st.sampled_from(list("udneUDNE \t\n\r\x0b\x0c\xa0\u2003xßıſİﬀ\x00ＵｄＮｅ\udcff\ud800")),
+    max_size=40,
+)
 
 
 class TestAgainstReferenceDefinitions:
@@ -326,9 +400,15 @@ class TestAgainstReferenceDefinitions:
 
 
 def assert_valid(p):
-    # what LatticePath(...) would have made of the same steps
+    # what LatticePath(...) would have made of the same steps: a bytes object
+    # of int8 +1 and -1, and the Python ints of its steps and heights
+    assert type(p._buf) is bytes
+    assert not p._buf.translate(None, b"\x01\xff")
     assert type(p.steps) is tuple
     assert all(type(s) is int and s in (1, -1) for s in p.steps)
+    assert p._buf == array("b", p.steps).tobytes()
+    assert p.heights == reference_heights(p.steps)
+    assert p.end_height == p.heights[-1]
     assert p == LatticePath(p.steps)
 
 
