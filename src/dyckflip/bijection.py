@@ -9,12 +9,13 @@ down-starting path is the mirror image of an up-starting one, so the
 mirror costs one sign: with s the first step, both directions find their
 kept steps on the up-start mirror s*steps, write s where the paper writes
 Up, and multiply every recorded height by s. Both directions are computed
-here in closed form, one numpy scan each (the first-/last-passage view
-behind the Chung-Feller theorem), by two kernels over int8 step arrays of
-shape (rows, L): phi_rows and phi_inverse_rows. phi and phi_inverse run
-them on one row, the census on a chunk of rows at once. Each also returns
-its mask of kept steps; the inverse's mask on a path is the forward map's
-on its preimage, so one trace builder serves both directions.
+in closed form, one numpy scan each (the first-/last-passage view behind
+the Chung-Feller theorem), by two kernels over int8 step arrays of shape
+(rows, L): phi_rows and phi_inverse_rows, which phi and phi_inverse run on
+one row and the census on a chunk. Each also returns its mask of kept
+steps; the inverse's on a path is the forward map's on its preimage, so
+one trace builder serves both. phi_inverse_rows also marks its domain,
+the unbalanced rows; phi_inverse and the census read it, not classify.
 
 Forward, first passage. An uprun climbs from the previous peak height, the
 highest point so far (the segment before it never rises above its start),
@@ -107,11 +108,12 @@ def phi_rows(steps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.where(kept, steps, -steps), kept
 
 
-def phi_inverse_rows(steps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """phi_inverse on every row of an int8 array of nonempty unbalanced step
-    rows of even length: the preimage rows and the mask of kept steps, which
-    is the mask phi_rows gives on the preimage."""
+def phi_inverse_rows(steps: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """phi_inverse on every row of an int8 array of nonempty step rows of
+    even length: the preimages, their kept steps (phi_rows' mask on them),
+    junk off the domain, and the domain: rows whose mirror stays above 0."""
     h = _mirror_heights(steps)
+    unbalanced = h[:, 1:].min(axis=1, initial=1) > 0
     length = steps.shape[1]
     # b = 1 + the last vertex at height M - 1, where M = h_L / 2
     b = length + 1 - (h == h[:, -1:] // 2 - 1)[:, ::-1].argmax(axis=1)
@@ -121,7 +123,7 @@ def phi_inverse_rows(steps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     low = np.minimum.accumulate(h[:, ::-1], axis=1, out=h[:, ::-1])[:, ::-1]
     # h_j < min(h_(j+1..b)) iff the suffix minimum rises after vertex j
     kept = low[:, :-1] < low[:, 1:]
-    return np.where(kept, steps, -steps), kept
+    return np.where(kept, steps, -steps), kept, unbalanced
 
 
 def _trace(kept: np.ndarray, direction: Direction, s: int) -> BijectionTrace:
@@ -170,10 +172,9 @@ def phi_inverse(p: LatticePath) -> Tuple[LatticePath, BijectionTrace]:
         return p, _empty_trace(Direction.INVERSE)
     if p.length % 2:
         raise OddLengthError("unbalanced image paths have even length")
-    cls = classify(p)
-    if cls not in (PathClass.UP_UNBALANCED, PathClass.DOWN_UNBALANCED):
-        raise NotUnbalancedError(f"input path is {cls.value}, expected unbalanced")
-    pre, kept = phi_inverse_rows(_row(p))
+    pre, kept, unbalanced = phi_inverse_rows(_row(p))
+    if not unbalanced[0]:
+        raise NotUnbalancedError(f"input path is {classify(p).value}, expected unbalanced")
     return LatticePath._trusted(pre.tobytes()), _trace(kept[0], Direction.INVERSE, _first_step(p))
 
 

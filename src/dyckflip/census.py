@@ -13,7 +13,7 @@ between balanced and unbalanced paths of each even length, verified by
 sweeping the whole rank space: every balanced path is mapped, its image
 must never touch height 0 and must map back to it, and the two classes are
 counted. The inverse maps each image row on its own, so when every round
-trip holds it is a left inverse and the map is one-to-one; the touch check
+trip holds it is a left inverse and the map is one-to-one; its domain mask
 makes every image unbalanced, and as many distinct images as there are
 unbalanced paths are all of them, so the counts prove that the map is onto.
 
@@ -273,13 +273,13 @@ def verify_bijection(n: int) -> CensusReport:
     and counts the balanced and the unbalanced paths. The balanced paths of
     each chunk go through the forward kernel as one array of step rows, and
     their images through the inverse one. An image must have the shape of
-    its input, never touch height 0 and map back to its path, or the path
-    is listed in roundtrip_failures. The inverse works row by row, so it is
-    a function of the image alone, and a map with a left inverse is
-    injective: phi(a) = phi(b) gives a = phi_inverse(phi(a)) = b. The map
-    is a bijection iff nothing failed and both sides count C(2n, n): the
-    images are then distinct unbalanced paths, as many as there are
-    unbalanced paths, so they are all of them.
+    its input, be unbalanced by the inverse kernel's mask and map back to
+    its path, or the path is listed in roundtrip_failures. The inverse works
+    row by row, so it is a function of the image alone, and a map with a
+    left inverse is injective: phi(a) = phi(b) gives a = phi_inverse(phi(a))
+    = b. The map is a bijection iff nothing failed and both sides count
+    C(2n, n): the images are then distinct unbalanced paths, as many as
+    there are unbalanced paths, so they are all of them.
     """
     if not 1 <= n <= MAX_BIJECTION_N:
         raise RangeError(f"n must be in [1, {MAX_BIJECTION_N}], got {n}")
@@ -299,14 +299,14 @@ def verify_bijection(n: int) -> CensusReport:
         unbalanced_count += int(np.count_nonzero(last == 0))
         rows = _rows(balanced, length)
         image = phi_rows(rows)[0]
-        # an image of another shape or one that returns to height 0 is not
-        # an unbalanced path of this length, and is not mapped back
+        # an image of another shape, or back at height 0, fails
         if image.shape != rows.shape:
             failures += balanced.tolist()
             continue
-        ok = (np.cumsum(image, axis=1, dtype=np.int8) != 0).all(axis=1)
-        ok[ok] = (phi_inverse_rows(image[ok])[0] == rows[ok]).all(axis=1)
+        pre, _, ok = phi_inverse_rows(image)
+        ok &= (pre == rows).all(axis=1)
         failures += balanced[~ok].tolist()
+        del rows, image, pre, _  # before the next chunk builds its own
 
     bijection_ok = not failures and balanced_count == unbalanced_count == comb(2 * n, n)
 

@@ -52,13 +52,20 @@ _BITS = bytes.maketrans(UP_BYTE + DOWN_BYTE, b"10")
 _UNBITS = bytes.maketrans(b"10", UP_BYTE + DOWN_BYTE)
 
 
+def _tables(alphabet: str) -> Tuple[Tuple[str, str], bytes, bytes]:
+    try:
+        return _ALPHABETS[alphabet.lower()]
+    except (KeyError, AttributeError):  # an unknown name, or not a string
+        raise ValueError(f"alphabet must be 'ud' or 'ne', got {alphabet!r}") from None
+
+
 class LatticePath:
     """An immutable sequence of +1/-1 steps with a derived height profile.
 
     The steps are held as one bytes object, `_buf`, of int8 +1 and -1
-    (UP_BYTE and DOWN_BYTE); `steps` and `heights` are tuples of Python ints
-    built from it on first use and kept. Equality, hashing and repr follow
-    the steps.
+    (UP_BYTE and DOWN_BYTE), and nothing else; `steps` and `heights` are
+    tuples of Python ints built from it on each use. Equality, hashing and
+    repr follow the steps.
 
     `LatticePath(steps)` converts every step with int() and rejects any that
     is not +1 or -1. `LatticePath._trusted(buf)` stores its argument
@@ -69,7 +76,7 @@ class LatticePath:
     slices, translations and joins of the buffers of existing paths.
     """
 
-    __slots__ = ("_buf", "_steps", "_heights")
+    __slots__ = ("_buf",)
 
     def __init__(self, steps: Iterable[int]) -> None:
         cleaned = tuple(map(int, steps))
@@ -81,7 +88,6 @@ class LatticePath:
         if buf.translate(None, UP_BYTE + DOWN_BYTE):
             raise ValueError("steps must be +1 (Up) or -1 (Down)")
         self._buf = buf
-        self._steps = cleaned
 
     @classmethod
     def _trusted(cls, buf: bytes) -> LatticePath:
@@ -91,19 +97,11 @@ class LatticePath:
 
     @property
     def steps(self) -> Tuple[int, ...]:
-        try:
-            return self._steps
-        except AttributeError:
-            self._steps = steps = struct.unpack(f"{len(self._buf)}b", self._buf)
-            return steps
+        return tuple(memoryview(self._buf).cast("b"))
 
     @property
     def heights(self) -> Tuple[int, ...]:
-        try:
-            return self._heights
-        except AttributeError:
-            self._heights = h = tuple(accumulate(self.steps, initial=0))
-            return h
+        return tuple(accumulate(memoryview(self._buf).cast("b"), initial=0))
 
     @property
     def length(self) -> int:
@@ -136,7 +134,7 @@ def parse_path(text: str, alphabet: str = "ud") -> LatticePath:
 
     Surrounding whitespace is allowed; empty text yields the empty path.
     """
-    letters, table, _ = _ALPHABETS[alphabet.lower()]
+    letters, table, _ = _tables(alphabet)
     stripped = text.strip()
     # no character outside ASCII has a step letter as its uppercase, so text
     # that does not encode holds a bad character, as does text with a byte
@@ -153,7 +151,7 @@ def parse_path(text: str, alphabet: str = "ud") -> LatticePath:
 
 def format_path(p: LatticePath, alphabet: str = "ud") -> str:
     """Canonical uppercase text for a path; inverse of parse_path."""
-    return p._buf.translate(_ALPHABETS[alphabet.lower()][2]).decode("ascii")
+    return p._buf.translate(_tables(alphabet)[2]).decode("ascii")
 
 
 def classify(p: LatticePath) -> PathClass:

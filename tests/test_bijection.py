@@ -129,6 +129,14 @@ class TestPhiInverseExamples:
         with pytest.raises(NotUnbalancedError):
             phi_inverse(parse_path("UDDD"))
 
+    @pytest.mark.parametrize("length", range(2, 15, 2))
+    def test_rejection_names_the_class(self, length):
+        for cls in (PathClass.BALANCED, PathClass.OTHER):
+            for p in paths_of_class(length, cls):
+                with pytest.raises(NotUnbalancedError) as exc:
+                    phi_inverse(p)
+                assert str(exc.value) == f"input path is {cls.value}, expected unbalanced"
+
     def test_rejects_odd_length(self):
         with pytest.raises(OddLengthError):
             phi_inverse(parse_path("UUU"))
@@ -217,15 +225,51 @@ class TestInvariants:
         images, kept = phi_rows(rows(balanced))
         assert [tuple(r) for r in images.tolist()] == [phi(p)[0].steps for p in balanced]
         # the inverse keeps the steps the forward map kept, which the trace needs
-        pre, pre_kept = phi_inverse_rows(images)
+        pre, pre_kept, _ = phi_inverse_rows(images)
         assert (pre == rows(balanced)).all() and (pre_kept == kept).all()
         unbalanced = [
             p
             for cls in (PathClass.UP_UNBALANCED, PathClass.DOWN_UNBALANCED)
             for p in paths_of_class(length, cls)
         ]
-        pre, _ = phi_inverse_rows(rows(unbalanced))
+        pre, _, _ = phi_inverse_rows(rows(unbalanced))
         assert [tuple(r) for r in pre.tolist()] == [phi_inverse(p)[0].steps for p in unbalanced]
+
+
+UNBALANCED = (PathClass.UP_UNBALANCED, PathClass.DOWN_UNBALANCED)
+
+
+def _unbalanced_mask(paths):
+    # the paths go through the kernel as one array, so a row's mask that
+    # depended on another row would show
+    rows = np.array([p.steps for p in paths], dtype=np.int8).reshape(len(paths), -1)
+    return phi_inverse_rows(rows)[2].tolist()
+
+
+class TestUnbalancedMask:
+    # phi_inverse_rows marks the rows it may invert; classify is the reference
+
+    @pytest.mark.parametrize("length", range(2, 15, 2))
+    def test_every_code(self, length):
+        # every class, and both first steps of each
+        paths = [unrank(length, code) for code in range(1 << length)]
+        assert _unbalanced_mask(paths) == [classify(p) in UNBALANCED for p in paths]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_long_rows(self, seed):
+        rng = random.Random(seed)
+        steps = [1, -1] * rng.randint(500, 8000)
+        rng.shuffle(steps)
+        balanced = LatticePath(steps)
+        image = phi(balanced)[0]
+        many_peak = phi(parse_path("UUD" * 4000 + "D" * 4000))[0]
+        walk = LatticePath(rng.choice((1, -1)) for _ in steps)
+        paths = [balanced, image, reflect_all(image), many_peak, reflect_all(many_peak), walk]
+        # the same paths with U, D for their first two steps: back at 0 at
+        # vertex 2, whatever follows
+        paths += [concat(parse_path("UD"), LatticePath._trusted(p._buf[2:])) for p in paths[1:]]
+        for p in paths:
+            assert _unbalanced_mask([p]) == [classify(p) in UNBALANCED]
 
 
 class TestComposeLaw:

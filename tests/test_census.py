@@ -237,6 +237,26 @@ class TestVerifyBijection:
             code for code in range(16) if bin(code).count("1") == 2
         )
 
+    @pytest.mark.parametrize("chunk", [8, 1 << 16])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_image_touching_zero_mid_path_reported(self, monkeypatch, n, chunk):
+        # each image is U, D, then the image of the rest of its path, so it
+        # is back at 0 at vertex 2; inverting it anyway gives back the paths
+        # that start D, U, so a test of the end height alone misses those
+        orig = census.phi_rows
+
+        def stub(rows):
+            ud = np.tile(np.array([1, -1], dtype=np.int8), (len(rows), 1))
+            return np.hstack([ud, orig(rows[:, 2:])[0]]), None
+
+        monkeypatch.setattr(census, "_CHUNK", chunk)
+        monkeypatch.setattr(census, "phi_rows", stub)
+        report = verify_bijection(n)
+        assert not report.bijection_ok
+        assert report.roundtrip_failures == tuple(
+            code for code in range(1 << 2 * n) if bin(code).count("1") == n
+        )
+
     @pytest.mark.parametrize(
         "wrong_length",
         [

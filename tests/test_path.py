@@ -149,6 +149,15 @@ class TestParseFormat:
         assert format_path(LatticePath(())) == ""
         assert format_path(parse_path("UU"), "ne") == "NN"
 
+    @pytest.mark.parametrize("alphabet", ["xy", "", "u", None, 3])
+    def test_unknown_alphabet_rejected(self, alphabet):
+        # a ValueError that names both alphabets, not a KeyError or an
+        # AttributeError from the table lookup
+        for call in (lambda: parse_path("UD", alphabet), lambda: format_path(parse_path("UD"), alphabet)):
+            with pytest.raises(ValueError, match="'ud' or 'ne'") as exc:
+                call()
+            assert type(exc.value) is ValueError
+
     @given(steps_lists)
     def test_parse_inverts_format(self, steps):
         p = LatticePath(tuple(steps))
