@@ -5,7 +5,8 @@ Paths arrive as an argument or via stdin when the argument is "-", so
 `dyckflip map UDUD | dyckflip invert -` round-trips.
 
 Exit codes: 0 success, 1 verification failure or stdout closed early (as
-Python itself exits on a broken pipe), 2 usage or domain error.
+Python itself exits on a broken pipe), 2 usage or domain error, or path
+text on stdin longer than MAX_STDIN_CHARS.
 """
 
 from __future__ import annotations
@@ -21,7 +22,11 @@ from .bijection import phi, phi_inverse
 from .decompose import decompose as _decompose
 from .errors import DomainError, ParseError, RangeError, ValidationError
 from .path import LatticePath, PathClass, classify, format_path, parse_path
-from .render import RenderSpec, render_ascii, render_svg
+from .render import MAX_CELL_SIZE, RenderSpec, render_ascii, render_svg
+
+# path text read from stdin, surrounding whitespace included: 2^20
+# characters, so a path of 2^20 - 1 steps with its newline
+MAX_STDIN_CHARS = 1 << 20
 
 _CLASS_FILTERS = {
     "balanced": PathClass.BALANCED,
@@ -42,7 +47,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_path_cmd(name: str, help_text: str) -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("path", help='path text, or "-" to read stdin')
+        cmd.add_argument(
+            "path", help=f'path text, or "-" to read it from stdin (at most {MAX_STDIN_CHARS} characters)'
+        )
         cmd.add_argument("--alphabet", choices=("ud", "ne"), default="ud")
         return cmd
 
@@ -74,7 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     rend = add_path_cmd("render", "draw a path as ASCII art or SVG")
     rend.add_argument("--svg", metavar="FILE", help='write SVG to FILE ("-" for stdout)')
-    rend.add_argument("--cell-size", type=int, default=10)
+    rend.add_argument(
+        "--cell-size", type=int, default=10, help=f"SVG pixels per unit step, 1 to {MAX_CELL_SIZE} (default 10)"
+    )
     rend.add_argument("--trace", choices=("forward", "inverse"), default=None)
     rend.add_argument("--axes", action="store_true")
 
@@ -82,7 +91,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_path(arg: str, alphabet: str) -> LatticePath:
-    text = sys.stdin.read() if arg == "-" else arg
+    if arg != "-":
+        return parse_path(arg, alphabet)
+    text = sys.stdin.read(MAX_STDIN_CHARS + 1)
+    if len(text) > MAX_STDIN_CHARS:
+        raise RangeError(f"path text on stdin must be at most {MAX_STDIN_CHARS} characters")
     return parse_path(text, alphabet)
 
 

@@ -17,13 +17,15 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Tuple
 
+import numpy as np
+
 from .errors import (
     DownStartError,
     EmptyPathError,
     NotBalancedError,
     ValidationError,
 )
-from .path import DOWN_BYTE, UP_BYTE, LatticePath
+from .path import DOWN_BYTE, UP_BYTE, LatticePath, height_array
 
 
 class SegmentKind(Enum):
@@ -63,16 +65,23 @@ def decompose(p: LatticePath) -> Decomposition:
     at the total length of the runs up to it, and each segment runs from
     its peak to the start of the next run, the last one to the end. A run
     ends at the next down-step, and the next one starts one vertex before
-    the first visit to the level above its peak.
+    the first visit to the level above its peak. Those vertices come from
+    one numpy scan of the int32 heights: the steps where the running
+    maximum rises, one per level.
     """
     if p.length == 0:
         raise EmptyPathError("cannot decompose the empty path")
-    if p.end_height != 0:
+    h = height_array(p)
+    if h[-1] != 0:
         raise NotBalancedError("path does not end at height 0")
     if p._buf.startswith(DOWN_BYTE):
         raise DownStartError("path starts with a downstep; reflect it first")
 
-    buf, h = p._buf, p.heights
+    buf = p._buf
+    # rises[t] is the vertex before the first visit to level t + 1: the
+    # running maximum rises there, one level at a time
+    m = np.maximum.accumulate(h)
+    rises = (m[1:] != m[:-1]).nonzero()[0].tolist()
     parts = []
     peak_indices = []
     peak_heights = []
@@ -82,9 +91,9 @@ def decompose(p: LatticePath) -> Decomposition:
         # a balanced path comes down from every peak
         end = buf.find(DOWN_BYTE, start)
         top += end - start
-        try:
-            next_start = h.index(top + 1, end) - 1
-        except ValueError:
+        if top < len(rises):
+            next_start = rises[top]
+        else:
             next_start, kind = p.length, SegmentKind.DOWN_UNBALANCED
         parts.append((end - start, Segment(kind, LatticePath._trusted(buf[end:next_start]), end)))
         peak_indices.append(end)

@@ -14,6 +14,8 @@ from enum import Enum
 from itertools import accumulate
 from typing import Iterable, Iterator, Optional, Tuple
 
+import numpy as np
+
 from .errors import ParseError, RangeError
 
 # rank/unrank stick to a machine-word-sized code space
@@ -154,19 +156,29 @@ def format_path(p: LatticePath, alphabet: str = "ud") -> str:
     return p._buf.translate(_tables(alphabet)[2]).decode("ascii")
 
 
+def height_array(p: LatticePath) -> np.ndarray:
+    """The heights h_0..h_L of p as one int32 array: the cumsum of its
+    buffer behind a 0 step. For the library's scans over long paths, which
+    would otherwise build the `heights` tuple of Python ints."""
+    return np.add.accumulate(np.frombuffer(b"\0" + p._buf, np.int8), dtype=np.int32)
+
+
 def classify(p: LatticePath) -> PathClass:
     """Balanced / UpUnbalanced / DownUnbalanced / Other, in that precedence.
 
-    Balanced means ending at height 0 (the empty path included); the
-    unbalanced classes never re-touch 0 after the start.
+    Balanced means ending at height 0 (the empty path included), read off
+    the buffer's byte count; the unbalanced classes never re-touch 0 after
+    the start. With unit steps, such a path keeps its first step's sign, so
+    one reduction of the int32 heights after the start decides the rest:
+    their minimum is above 0 for UpUnbalanced, their maximum below 0 for
+    DownUnbalanced.
     """
     if p.end_height == 0:
         return PathClass.BALANCED
-    h = p.heights
-    # with unit steps, a path that never re-touches 0 keeps its first step's sign
-    if h.count(0) > 1:
-        return PathClass.OTHER
-    return PathClass.UP_UNBALANCED if h[1] > 0 else PathClass.DOWN_UNBALANCED
+    h = height_array(p)[1:]
+    if p._buf.startswith(UP_BYTE):
+        return PathClass.UP_UNBALANCED if h.min() > 0 else PathClass.OTHER
+    return PathClass.DOWN_UNBALANCED if h.max() < 0 else PathClass.OTHER
 
 
 def reflect_all(p: LatticePath) -> LatticePath:

@@ -9,11 +9,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+import numpy as np
+
 from .bijection import BijectionTrace
 from .errors import RangeError
-from .path import UP, LatticePath
+from .path import UP, LatticePath, height_array
 
 MAX_ASCII_LENGTH = 120
+# every SVG coordinate is at most L·cell_size, so with this cap the int64
+# polyline writer is exact for any path that fits in memory
+MAX_CELL_SIZE = 10**6
 
 
 @dataclass(frozen=True)
@@ -27,6 +32,8 @@ class RenderSpec:
     def __post_init__(self) -> None:
         if self.cell_size < 1:
             raise RangeError(f"cell_size must be >= 1, got {self.cell_size}")
+        if self.cell_size > MAX_CELL_SIZE:
+            raise RangeError(f"cell_size must be <= {MAX_CELL_SIZE}, got {self.cell_size}")
 
 
 def render_ascii(spec: RenderSpec) -> str:
@@ -76,19 +83,41 @@ def render_ascii(spec: RenderSpec) -> str:
     return "\n".join(rows) + "\n"
 
 
+def _multiples(n: int, cell: int) -> np.ndarray:
+    """The decimal digits of 0, cell, ..., (n - 1)·cell as ASCII, one column
+    per value, right-aligned to the widest (row 0 holds the leading digits),
+    with NUL bytes for leading zeros."""
+    width = len(str((n - 1) * cell))
+    digits = np.empty((width, n), np.uint8)
+    q = np.arange(0, n * cell, cell, dtype=np.int64)
+    for row in digits[::-1]:
+        # floor division by a constant is much faster than remainder or divmod
+        q10 = q // 10
+        np.subtract(q, q10 * 10, out=row, casting="unsafe")
+        q = q10
+    digits += ord("0")
+    # the values increase, so those below 10^e are the first ceil(10^e / cell)
+    for k in range(width - 1):
+        digits[k, : -(-(10 ** (width - 1 - k)) // cell)] = 0
+    return digits
+
+
 def render_svg(spec: RenderSpec) -> str:
     """SVG document with the height profile as a polyline.
 
     Vertex j maps to (j*cell, (H - h_j)*cell) with H the maximum height, so
     the image is in conventional screen orientation. Reflection lines from
     the trace become dashed horizontal lines, B/G points circles with text
-    labels.
+    labels. The extent comes from the path's int32 heights, and the
+    polyline is written as one uint8 array: per vertex its x digits, a
+    comma, the digits of its level's y (gathered from a table with one
+    entry per level) and a space, with the leading zeros dropped.
     """
     p = spec.path
     cell = spec.cell_size
-    h = p.heights
-    top = max(h)
-    bottom = min(h)
+    h = height_array(p)
+    top = int(h.max())
+    bottom = int(h.min())
     width = max(p.length * cell, cell)
     height = max((top - bottom) * cell, cell)
 
@@ -110,13 +139,15 @@ def render_svg(spec: RenderSpec) -> str:
                 f'<line x1="0" y1="{y(level)}" x2="{p.length * cell}" y2="{y(level)}" '
                 'stroke="red" stroke-width="1" stroke-dasharray="4 2" />'
             )
-    # one % format over the x coordinates, exact ints that grow without bound
-    # with the cell size, interleaved with a ",y " label per height
-    labels = {level: f",{y(level)} " for level in range(bottom, top + 1)}
-    xy = [0] * (2 * len(h))
-    xy[::2] = range(0, len(h) * cell, cell)
-    xy[1::2] = map(labels.__getitem__, h)
-    points = ("%d%s" * len(h) % tuple(xy))[:-1]
+    # one row per byte column of the "x,y " vertex fields, one column per vertex
+    xs = _multiples(len(h), cell)
+    ys = _multiples(top - bottom + 1, cell)  # column r is the y of level top - r
+    fields = np.empty((len(xs) + len(ys) + 2, len(h)), np.uint8)
+    fields[: len(xs)] = xs
+    fields[len(xs)] = ord(",")
+    fields[len(xs) + 1 : -1] = ys.take(top - h, axis=1)
+    fields[-1] = ord(" ")
+    points = fields.T.tobytes().translate(None, b"\0")[:-1].decode("ascii")
     parts.append(f'<polyline points="{points}" fill="none" stroke="black" stroke-width="2" />')
     if spec.trace is not None:
         for tag, pts in (("B", spec.trace.b_points), ("G", spec.trace.g_points)):

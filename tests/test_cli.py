@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from dyckflip import cli
 from dyckflip.census import MAX_ARITHMETIC_N, exact_int_str
-from dyckflip.cli import build_parser, main
+from dyckflip.cli import MAX_STDIN_CHARS, build_parser, main
+from dyckflip.render import MAX_CELL_SIZE
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).parent.parent / "src"
@@ -122,6 +124,27 @@ class TestStdinPiping:
         assert err.startswith("error: Parse: invalid character '\\udc") and err.endswith(f"(index {index})\n")
 
 
+class TestStdinBound:
+    def test_text_at_the_bound(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("UD" * (MAX_STDIN_CHARS // 2)))
+        code, out, err = run(capsys, "decompose", "-")
+        assert (code, err) == (0, "")
+        assert out.startswith("uprun=1\nsegment=DownUnbalanced:D")
+
+    def test_text_past_the_bound_is_2(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("UD" * (MAX_STDIN_CHARS // 2) + "\n"))
+        code, out, err = run(capsys, "map", "-")
+        assert (code, out) == (2, "")
+        assert err == f"error: Range: path text on stdin must be at most {MAX_STDIN_CHARS} characters\n"
+
+    @pytest.mark.parametrize("text", ["UU\n", " UU\n", "UUUU\n", "UU \n\n"])
+    def test_whitespace_counts(self, capsys, monkeypatch, text):
+        monkeypatch.setattr(cli, "MAX_STDIN_CHARS", 4)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        expected = (0, "UD\n") if len(text) <= 4 else (2, "")
+        assert run(capsys, "invert", "-")[:2] == expected
+
+
 class TestBrokenPipe:
     def test_write_to_closed_stdout_exits_quietly(self, capsys, monkeypatch, tmp_path):
         class ClosedPipe:
@@ -204,6 +227,16 @@ class TestRenderOutput:
         code, out, err = run(capsys, "render", "UD", "--cell-size", cell)
         assert (code, out) == (2, "")
         assert err == f"error: Range: cell_size must be >= 1, got {cell}\n"
+
+    def test_cell_size_at_limit(self, capsys):
+        code, out, err = run(capsys, "render", "UD", "--svg", "-", "--cell-size", str(MAX_CELL_SIZE))
+        assert (code, err) == (0, "")
+        assert 'points="0,1000000 1000000,0 2000000,1000000"' in out
+
+    def test_cell_size_past_limit_is_2(self, capsys):
+        code, out, err = run(capsys, "render", "UD", "--svg", "-", "--cell-size", str(MAX_CELL_SIZE + 1))
+        assert (code, out) == (2, "")
+        assert err == f"error: Range: cell_size must be <= {MAX_CELL_SIZE}, got {MAX_CELL_SIZE + 1}\n"
 
     def test_unopenable_svg_target_is_2(self, capsys, tmp_path):
         target = tmp_path / "missing" / "out.svg"

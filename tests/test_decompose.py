@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from dyckflip import (
@@ -5,25 +8,62 @@ from dyckflip import (
     EmptyPathError,
     LatticePath,
     NotBalancedError,
-    PathClass,
     SegmentKind,
     ValidationError,
-    classify,
     decompose,
     format_path,
     parse_path,
     recompose,
-    unrank,
+    reflect_all,
     validate,
 )
 from dyckflip.decompose import Decomposition, Segment
+from dyckflip.path import DOWN_BYTE
 
 
 def balanced_up_start(length):
-    for code in range(1 << length):
-        p = unrank(length, code)
-        if classify(p) is PathClass.BALANCED and p.length and p.steps[0] == 1:
-            yield p
+    """Every balanced path of the given even length >= 2 whose first step is
+    Up: step 0 and length/2 - 1 of the steps after it are Up."""
+    for ups in combinations(range(1, length), length // 2 - 1):
+        buf = bytearray(b"\xff" * length)
+        for j in (0, *ups):
+            buf[j] = 1
+        yield LatticePath._trusted(bytes(buf))
+
+
+def reference_decompose(p):
+    """The peak decomposition read off the `heights` tuple: each uprun ends
+    at the next down-step, and the next one starts one vertex before the
+    first visit, found by `h.index`, to the level above its peak."""
+    if p.length == 0:
+        raise EmptyPathError("cannot decompose the empty path")
+    if p.end_height != 0:
+        raise NotBalancedError("path does not end at height 0")
+    if p._buf.startswith(DOWN_BYTE):
+        raise DownStartError("path starts with a downstep; reflect it first")
+    buf, h = p._buf, p.heights
+    parts, peak_indices, peak_heights = [], [], []
+    start = top = 0
+    kind = SegmentKind.DOWN_DYCK
+    while kind is SegmentKind.DOWN_DYCK:
+        end = buf.find(DOWN_BYTE, start)
+        top += end - start
+        try:
+            next_start = h.index(top + 1, end) - 1
+        except ValueError:
+            next_start, kind = p.length, SegmentKind.DOWN_UNBALANCED
+        parts.append((end - start, Segment(kind, LatticePath._trusted(buf[end:next_start]), end)))
+        peak_indices.append(end)
+        peak_heights.append(top)
+        start = next_start
+    return Decomposition(parts=tuple(parts), peak_indices=tuple(peak_indices), peak_heights=tuple(peak_heights))
+
+
+def outcome(fn, p):
+    try:
+        return fn(p)
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 class TestDecomposeExamples:
@@ -159,3 +199,28 @@ class TestExhaustive:
                 b - a for a, b in zip(d.peak_heights, d.peak_heights[1:])
             ]
             assert [u for u, _ in d.parts] == gaps
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("length", range(2, 17, 2))
+    def test_every_up_start_balanced_path(self, length):
+        for p in balanced_up_start(length):
+            assert decompose(p) == reference_decompose(p)
+
+    @pytest.mark.parametrize("text", ["", "U", "D", "UU", "DU", "UDD", "DUUD"])
+    def test_rejections(self, text):
+        p = parse_path(text)
+        assert outcome(decompose, p) == outcome(reference_decompose, p)
+
+    @pytest.mark.parametrize("length", [1000, 4876, 16000])
+    def test_long_paths(self, length):
+        rng = random.Random(length)
+        paths = [parse_path("UUD" * (length // 4) + "D" * (length // 4))]
+        for _ in range(3):
+            steps = [1, -1] * (length // 2)
+            rng.shuffle(steps)
+            p = LatticePath(steps)
+            # the up-start one of p and its mirror, and the other one rejected
+            paths += [p, reflect_all(p)]
+        for p in paths:
+            assert outcome(decompose, p) == outcome(reference_decompose, p)

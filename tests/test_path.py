@@ -400,6 +400,23 @@ class TestAgainstReferenceDefinitions:
             assert p.heights == reference_heights(p.steps)
             assert classify(p) is reference_classify(p.steps)
 
+    @pytest.mark.parametrize("length", [1000, 4876, 16000])
+    def test_classify_long_paths(self, length):
+        rng = random.Random(length)
+        steps = [1, -1] * (length // 2)
+        rng.shuffle(steps)
+        balanced = LatticePath(steps)
+        many_peak = parse_path("UUD" * (length // 4) + "D" * (length // 4))
+        walk = LatticePath(rng.choice((1, -1)) for _ in steps)
+        paths = [balanced, walk, phi(balanced)[0], phi(reflect_all(balanced))[0], phi(many_peak)[0]]
+        paths += [reflect_all(p) for p in paths]
+        # back at 0 at the last vertex but one, or at vertex 2, whatever follows
+        paths += [concat(p, parse_path("UU")) for p in paths[:2]]
+        paths += [concat(parse_path("UD"), LatticePath._trusted(p._buf[2:])) for p in paths[2:]]
+        assert {classify(p) for p in paths} == set(PathClass)
+        for p in paths:
+            assert classify(p) is reference_classify(p.steps)
+
     @pytest.mark.parametrize("length", range(0, 15))
     def test_max_height_and_last_zero_touch_exhaustive(self, length):
         for code in range(1 << length):

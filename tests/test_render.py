@@ -1,3 +1,4 @@
+import random
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -9,9 +10,14 @@ from dyckflip import (
     parse_path,
     phi,
     phi_inverse,
+    reflect_all,
     render_ascii,
     render_svg,
+    unrank,
 )
+from dyckflip.render import MAX_CELL_SIZE
+
+CELL_SIZES = [1, 7, 10, 999, MAX_CELL_SIZE]
 
 
 def svg_root(doc):
@@ -23,6 +29,22 @@ def polyline_points(doc):
     ns = "{http://www.w3.org/2000/svg}"
     polyline = root.find(f"{ns}polyline")
     return polyline.get("points").split()
+
+
+def reference_points(p, cell):
+    """The polyline's points attribute as one `%` format over the x ints,
+    interleaved with a ",y " label per height."""
+    h = p.heights
+    top = max(h)
+    labels = {level: f",{(top - level) * cell} " for level in range(min(h), top + 1)}
+    xy = [0] * (2 * len(h))
+    xy[::2] = range(0, len(h) * cell, cell)
+    xy[1::2] = map(labels.__getitem__, h)
+    return ("%d%s" * len(h) % tuple(xy))[:-1]
+
+
+def points_text(doc):
+    return doc.split('<polyline points="', 1)[1].split('"', 1)[0]
 
 
 class TestAscii:
@@ -111,3 +133,34 @@ class TestSvg:
     def test_deterministic(self):
         spec = RenderSpec(path=parse_path("UDUUDD"), trace=phi(parse_path("UDUUDD"))[1])
         assert render_svg(spec) == render_svg(spec)
+
+    @pytest.mark.parametrize("cell", [1, MAX_CELL_SIZE])
+    def test_cell_size_limit(self, cell):
+        doc = render_svg(RenderSpec(path=parse_path("UD"), cell_size=cell))
+        assert polyline_points(doc) == [f"0,{cell}", f"{cell},0", f"{2 * cell},{cell}"]
+
+    def test_cell_size_past_limit_rejected(self):
+        with pytest.raises(RangeError, match=f"cell_size must be <= {MAX_CELL_SIZE}, got {MAX_CELL_SIZE + 1}"):
+            RenderSpec(path=parse_path("UD"), cell_size=MAX_CELL_SIZE + 1)
+
+
+class TestPolylineAgainstReference:
+    # each render_svg call costs tens of microseconds, so the exhaustive
+    # sweep stops at length 8 and the long paths cover the wide numbers
+    @pytest.mark.parametrize("cell", CELL_SIZES)
+    def test_every_code(self, cell):
+        for length in range(9):
+            for code in range(1 << length):
+                p = unrank(length, code)
+                assert points_text(render_svg(RenderSpec(path=p, cell_size=cell))) == reference_points(p, cell)
+
+    @pytest.mark.parametrize("cell", CELL_SIZES)
+    @pytest.mark.parametrize("length", [1000, 4876, 16000])
+    def test_long_paths(self, length, cell):
+        rng = random.Random(length)
+        steps = [1, -1] * (length // 2)
+        rng.shuffle(steps)
+        p = LatticePath(steps)
+        many_peak = parse_path("UUD" * (length // 4) + "D" * (length // 4))
+        for q in (p, reflect_all(p), many_peak):
+            assert points_text(render_svg(RenderSpec(path=q, cell_size=cell))) == reference_points(q, cell)
