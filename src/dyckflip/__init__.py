@@ -1,103 +1,62 @@
 """Partial-reflection bijection between balanced lattice paths and
 unbalanced Dyck paths, with exhaustive verification of the identity
 sum_i C(2i,i)*C(2n-2i,n-i) = 4^n.
+
+Importing the package imports none of its modules, and so no numpy: each
+public name is looked up in its home module on first access (PEP 562) and
+then kept here, so later lookups are plain dict hits.
 """
 
-from .bijection import (
-    BijectionTrace,
-    Direction,
-    compose_law_check,
-    phi,
-    phi_inverse,
-    verify_roundtrip,
-)
-from .census import (
-    CensusReport,
-    binomial,
-    enumerate_class,
-    identity_lhs,
-    last_zero_touch,
-    split_at_last_zero,
-    verify_bijection,
-    verify_identity,
-)
-from .decompose import Decomposition, Segment, SegmentKind, decompose, recompose, validate
-from .errors import (
-    DomainError,
-    DownStartError,
-    EmptyPathError,
-    NotBalancedError,
-    NotUnbalancedError,
-    OddLengthError,
-    ParseError,
-    PreconditionError,
-    RangeError,
-    ValidationError,
-)
-from .path import (
-    LatticePath,
-    PathClass,
-    all_paths,
-    classify,
-    concat,
-    format_path,
-    max_height,
-    parse_path,
-    rank,
-    reflect_all,
-    reflect_segment,
-    rightmost_crossing,
-    unrank,
-)
-from .render import RenderSpec, render_ascii, render_svg
+import sys
+from importlib import import_module
+from types import ModuleType
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BijectionTrace",
-    "CensusReport",
-    "Decomposition",
-    "Direction",
-    "DomainError",
-    "DownStartError",
-    "EmptyPathError",
-    "LatticePath",
-    "NotBalancedError",
-    "NotUnbalancedError",
-    "OddLengthError",
-    "ParseError",
-    "PathClass",
-    "PreconditionError",
-    "RangeError",
-    "RenderSpec",
-    "Segment",
-    "SegmentKind",
-    "ValidationError",
-    "all_paths",
-    "binomial",
-    "classify",
-    "compose_law_check",
-    "concat",
-    "decompose",
-    "enumerate_class",
-    "format_path",
-    "identity_lhs",
-    "last_zero_touch",
-    "max_height",
-    "parse_path",
-    "phi",
-    "phi_inverse",
-    "rank",
-    "recompose",
-    "reflect_all",
-    "reflect_segment",
-    "render_ascii",
-    "render_svg",
-    "rightmost_crossing",
-    "split_at_last_zero",
-    "unrank",
-    "validate",
-    "verify_bijection",
-    "verify_identity",
-    "verify_roundtrip",
-]
+# each public name and the module that defines it
+_HOMES = {
+    **dict.fromkeys(
+        "BijectionTrace Direction compose_law_check phi phi_inverse verify_roundtrip".split(), "bijection"
+    ),
+    **dict.fromkeys("enumerate_class last_zero_touch split_at_last_zero verify_bijection".split(), "census"),
+    **dict.fromkeys("Decomposition Segment SegmentKind decompose recompose validate".split(), "decompose"),
+    **dict.fromkeys(
+        "DomainError DownStartError EmptyPathError NotBalancedError NotUnbalancedError OddLengthError ParseError "
+        "PreconditionError RangeError ValidationError".split(),
+        "errors",
+    ),
+    **dict.fromkeys("CensusReport binomial identity_lhs verify_identity".split(), "identity"),
+    **dict.fromkeys(
+        "LatticePath PathClass all_paths classify concat format_path max_height parse_path rank reflect_all "
+        "reflect_segment rightmost_crossing unrank".split(),
+        "path",
+    ),
+    **dict.fromkeys("RenderSpec render_ascii render_svg".split(), "render"),
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    try:
+        home = _HOMES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(import_module(f".{home}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_HOMES})
+
+
+class _Package(ModuleType):
+    def __setattr__(self, name: str, value: object) -> None:
+        # the import system binds each submodule to its name here when it is
+        # first imported, from wherever; a public name that is also a
+        # submodule's (the function decompose) keeps naming the public object
+        if not (name in _HOMES and isinstance(value, ModuleType)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -7,6 +7,10 @@ Paths arrive as an argument or via stdin when the argument is "-", so
 Exit codes: 0 success, 1 verification failure or stdout closed early (as
 Python itself exits on a broken pipe), 2 usage or domain error, or path
 text on stdin longer than MAX_STDIN_CHARS.
+
+This module imports only `errors` and the standard library. Each command
+imports the kernels it runs when it runs, so `--help`, usage errors and
+`verify identity --mode arithmetic` never load numpy.
 """
 
 from __future__ import annotations
@@ -15,24 +19,24 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from . import census as _census
-from .bijection import phi, phi_inverse
-from .decompose import decompose as _decompose
-from .errors import DomainError, ParseError, RangeError, ValidationError
-from .path import LatticePath, PathClass, classify, format_path, parse_path
-from .render import MAX_CELL_SIZE, RenderSpec, render_ascii, render_svg
+from .errors import MAX_CELL_SIZE, DomainError, ParseError, RangeError, ValidationError
+
+if TYPE_CHECKING:
+    from .identity import CensusReport
+    from .path import LatticePath
 
 # path text read from stdin, surrounding whitespace included: 2^20
 # characters, so a path of 2^20 - 1 steps with its newline
 MAX_STDIN_CHARS = 1 << 20
 
+# the name of each class filter's PathClass member
 _CLASS_FILTERS = {
-    "balanced": PathClass.BALANCED,
-    "up": PathClass.UP_UNBALANCED,
-    "down": PathClass.DOWN_UNBALANCED,
-    "other": PathClass.OTHER,
+    "balanced": "BALANCED",
+    "up": "UP_UNBALANCED",
+    "down": "DOWN_UNBALANCED",
+    "other": "OTHER",
     "all": None,
 }
 
@@ -91,6 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_path(arg: str, alphabet: str) -> LatticePath:
+    from .path import parse_path
+
     if arg != "-":
         return parse_path(arg, alphabet)
     text = sys.stdin.read(MAX_STDIN_CHARS + 1)
@@ -100,6 +106,8 @@ def _read_path(arg: str, alphabet: str) -> LatticePath:
 
 
 def _trace_fields(p, image, trace, alphabet: str) -> dict:
+    from .path import classify, format_path
+
     return {
         "input": format_path(p, alphabet),
         "output": format_path(image, alphabet),
@@ -112,6 +120,9 @@ def _trace_fields(p, image, trace, alphabet: str) -> dict:
 
 
 def _run_map(args: argparse.Namespace, inverse: bool) -> int:
+    from .bijection import phi, phi_inverse
+    from .path import classify, format_path
+
     p = _read_path(args.path, args.alphabet)
     image, trace = (phi_inverse if inverse else phi)(p)
     if args.as_json:
@@ -128,8 +139,11 @@ def _run_map(args: argparse.Namespace, inverse: bool) -> int:
 
 
 def _run_decompose(args: argparse.Namespace) -> int:
+    from .decompose import decompose
+    from .path import format_path
+
     p = _read_path(args.path, args.alphabet)
-    d = _decompose(p)
+    d = decompose(p)
     if args.as_json:
         print(
             json.dumps(
@@ -158,9 +172,11 @@ def _run_decompose(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_report(report: _census.CensusReport, as_json: bool) -> int:
+def _print_report(report: CensusReport, as_json: bool) -> int:
+    from .identity import exact_int_str
+
     if as_json:
-        with _census.exact_int_str():
+        with exact_int_str():
             print(json.dumps(report.to_json_dict()))
     else:
         sys.stdout.write(report.to_kv())
@@ -175,6 +191,9 @@ def _print_error(exc: Exception) -> int:
 
 
 def _run_render(args: argparse.Namespace) -> int:
+    from .bijection import phi, phi_inverse
+    from .render import RenderSpec, render_ascii, render_svg
+
     p = _read_path(args.path, args.alphabet)
     trace = None
     if args.trace == "forward":
@@ -207,13 +226,20 @@ def _run(args: argparse.Namespace) -> int:
         return _run_decompose(args)
     if args.command == "verify":
         if args.target == "bijection":
-            report = _census.verify_bijection(args.n)
+            from .census import verify_bijection
+
+            report = verify_bijection(args.n)
         else:
-            report = _census.verify_identity(args.n, mode=args.mode)
+            from .identity import verify_identity
+
+            report = verify_identity(args.n, mode=args.mode)
         return _print_report(report, args.as_json)
     if args.command == "enumerate":
+        from .census import enumerate_class
+        from .path import PathClass, format_path
+
         cls = _CLASS_FILTERS[args.cls]
-        for p in _census.enumerate_class(args.length, cls):
+        for p in enumerate_class(args.length, cls and PathClass[cls]):
             print(format_path(p, args.alphabet))
         return 0
     if args.command == "render":

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the bounds that the
+command line quotes in its help, kept here because this module imports no
+numpy."""
+
+# every SVG coordinate is at most L·cell_size, so with this cap the int64
+# polyline writer of render_svg is exact for any path that fits in memory
+MAX_CELL_SIZE = 10**6
 
 
 class ParseError(ValueError):

@@ -1,0 +1,182 @@
+"""The identity sum_{i=0..n} C(2i,i) * C(2n-2i,n-i) = 4^n, the census
+bounds, and the report that every census check returns.
+
+Arithmetic mode sums exact integers, each term from the one before by their
+ratio (2i+1)(n-i) / ((i+1)(2n-2i-1)), starting from C(2n,n). Structural
+mode splits every length-2n path at its last visit to height 0, which
+buckets the 4^n paths into exactly C(2i,i)*C(2n-2i,n-i) per prefix
+half-length i. This module imports no numpy: the structural branch imports
+the all-codes walk of `census`, and numpy with it, when it first runs.
+"""
+
+from __future__ import annotations
+
+import sys
+import time
+from contextlib import contextmanager
+from dataclasses import dataclass
+from math import comb
+from typing import Iterator, Literal, Optional, Tuple
+
+from .errors import RangeError
+
+MAX_BIJECTION_N = 12
+MAX_STRUCTURAL_N = 12
+MAX_ARITHMETIC_N = 10_000
+
+IdentityMode = Literal["arithmetic", "structural"]
+
+
+def binomial(n: int, k: int) -> int:
+    """Exact C(n, k) for 0 <= k <= n."""
+    if n < 0 or k < 0 or k > n:
+        raise RangeError(f"binomial requires 0 <= k <= n, got n={n}, k={k}")
+    return comb(n, k)
+
+
+@dataclass(frozen=True)
+class CensusReport:
+    """Exact counts and verdicts for one half-length n.
+
+    structural_tallies is only populated by the structural identity check;
+    tally_mismatches lists the prefix half-lengths whose bucket size
+    disagreed with the binomial product.
+    """
+
+    n: int
+    total_paths: int
+    balanced_count: int
+    unbalanced_count: int
+    identity_lhs: int
+    identity_rhs: int
+    bijection_ok: bool
+    roundtrip_failures: Tuple[int, ...]
+    elapsed: float
+    structural_tallies: Optional[Tuple[int, ...]] = None
+    tally_mismatches: Tuple[int, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return (
+            self.bijection_ok
+            and not self.roundtrip_failures
+            and self.identity_lhs == self.identity_rhs
+            and not self.tally_mismatches
+        )
+
+    def to_json_dict(self) -> dict:
+        d = {
+            "n": self.n,
+            "total_paths": self.total_paths,
+            "balanced_count": self.balanced_count,
+            "unbalanced_count": self.unbalanced_count,
+            "identity_lhs": self.identity_lhs,
+            "identity_rhs": self.identity_rhs,
+            "bijection_ok": self.bijection_ok,
+            "roundtrip_failures": list(self.roundtrip_failures),
+            "ok": self.ok,
+        }
+        if self.structural_tallies is not None:
+            d["structural_tallies"] = list(self.structural_tallies)
+            d["tally_mismatches"] = list(self.tally_mismatches)
+        d["elapsed"] = self.elapsed
+        return d
+
+    def to_kv(self) -> str:
+        """Line-oriented key=value form of the JSON fields, with ok last.
+        elapsed is wall-clock noise and is left out so reports compare
+        byte-for-byte."""
+        fields = self.to_json_dict()
+        del fields["elapsed"]
+        fields["ok"] = fields.pop("ok")
+        with exact_int_str():
+            return "".join(f"{key}={_kv_text(value)}\n" for key, value in fields.items())
+
+
+def _kv_text(value: object) -> str:
+    if isinstance(value, list):
+        return ",".join(map(str, value))
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+@contextmanager
+def exact_int_str() -> Iterator[None]:
+    """Lift the interpreter-wide limit on the digits of an int turned into
+    text (4300 by default) inside the block: 4^n has more from n = 7143."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # no limit before 3.10.7
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def identity_lhs(n: int) -> int:
+    """The binomial convolution sum_{i} C(2i,i) * C(2n-2i,n-i)."""
+    # term i + 1 is term i times (2i+1)(n-i) / ((i+1)(2n-2i-1)), exactly
+    t = comb(2 * n, n)
+    total = t
+    for i in range(n):
+        t = t * ((2 * i + 1) * (n - i)) // ((i + 1) * (2 * n - 2 * i - 1))
+        total += t
+    return total
+
+
+def verify_identity(n: int, mode: IdentityMode = "arithmetic") -> CensusReport:
+    """Check the central-binomial convolution identity for one n.
+
+    Arithmetic mode evaluates both sides with exact integers, each term of
+    the sum from the one before by their ratio. Structural mode reads the
+    last visit to height 0 of each of the 4^n paths off the one all-codes
+    walk, tallies them by prefix half-length and compares the tallies with
+    the binomial products.
+    """
+    start = time.perf_counter()
+    if mode == "arithmetic":
+        if not 0 <= n <= MAX_ARITHMETIC_N:
+            raise RangeError(f"arithmetic mode requires n in [0, {MAX_ARITHMETIC_N}], got {n}")
+        lhs = identity_lhs(n)
+        return CensusReport(
+            n=n,
+            total_paths=4**n,
+            balanced_count=comb(2 * n, n),
+            unbalanced_count=comb(2 * n, n),
+            identity_lhs=lhs,
+            identity_rhs=4**n,
+            bijection_ok=True,
+            roundtrip_failures=(),
+            elapsed=time.perf_counter() - start,
+        )
+    if mode != "structural":
+        raise RangeError(f"unknown identity mode {mode!r}")
+    if not 0 <= n <= MAX_STRUCTURAL_N:
+        raise RangeError(f"structural mode requires n in [0, {MAX_STRUCTURAL_N}], got {n}")
+    # the walk, and numpy with it, load on the first structural check only
+    import numpy as np
+
+    from .census import _last_zero
+
+    length = 2 * n
+    tallies = np.zeros(n + 1, dtype=np.int64)
+    for _, last in _last_zero(length):
+        tallies += np.bincount(last >> 1, minlength=n + 1)
+
+    expected = [comb(2 * i, i) * comb(2 * (n - i), n - i) for i in range(n + 1)]
+    mismatches = tuple(i for i in range(n + 1) if int(tallies[i]) != expected[i])
+    lhs = int(tallies.sum())
+    return CensusReport(
+        n=n,
+        total_paths=1 << length,
+        balanced_count=int(tallies[n]),
+        unbalanced_count=int(tallies[0]),
+        identity_lhs=lhs,
+        identity_rhs=4**n,
+        bijection_ok=True,
+        roundtrip_failures=(),
+        elapsed=time.perf_counter() - start,
+        structural_tallies=tuple(int(t) for t in tallies),
+        tally_mismatches=mismatches,
+    )

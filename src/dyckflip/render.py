@@ -12,13 +12,10 @@ from typing import List, Optional
 import numpy as np
 
 from .bijection import BijectionTrace
-from .errors import RangeError
+from .errors import MAX_CELL_SIZE, RangeError
 from .path import UP, LatticePath, height_array
 
 MAX_ASCII_LENGTH = 120
-# every SVG coordinate is at most L·cell_size, so with this cap the int64
-# polyline writer is exact for any path that fits in memory
-MAX_CELL_SIZE = 10**6
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from dyckflip import (
     verify_bijection,
     verify_identity,
 )
-from dyckflip.census import identity_lhs
+from dyckflip.identity import identity_lhs
 from dyckflip.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"

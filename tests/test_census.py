@@ -19,6 +19,7 @@ from dyckflip import (
     concat,
     enumerate_class,
     format_path,
+    identity,
     identity_lhs,
     last_zero_touch,
     parse_path,
@@ -107,7 +108,9 @@ class TestLastZeroWalk:
             monkeypatch.setattr(census, "_CHUNK", chunk)
             chunks = list(census._last_zero(length))
             assert all(last.dtype == np.int8 for _, last in chunks)
-            assert np.concatenate([codes for codes, _ in chunks]).tolist() == list(range(1 << length))
+            assert [(lo, len(last)) for lo, last in chunks] == [
+                (lo, min(chunk, (1 << length) - lo)) for lo in range(0, 1 << length, chunk)
+            ]
             assert np.concatenate([last for _, last in chunks]).tolist() == expected
 
     @pytest.mark.parametrize("length", range(17, 31))
@@ -362,6 +365,21 @@ class TestVerifyIdentity:
             reports.append(verify_identity(6, "structural").to_kv())
         assert len(set(reports)) == 1
 
+    def test_structural_peak_memory(self):
+        # at n = 12 the peak is one chunk of 2^16 codes: its int8 last
+        # vertices, the int8 halves bincount reads and bincount's intp copy
+        # of them (512 KB), beside the walk's prefix table and int16 row
+        # indices (192 KB); an int32 array of the chunk's codes (256 KB)
+        # would take it past 1 MiB
+        verify_identity(1, "structural")  # imports outside the trace
+        tracemalloc.start()
+        try:
+            verify_identity(12, "structural")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
     def test_identity_lhs_matches_brute_sum(self):
         # the central binomials off one pass down Pascal's triangle, as pascal builds it
         central, row = [], [1]
@@ -373,7 +391,7 @@ class TestVerifyIdentity:
             brute = sum(central[i] * central[n - i] for i in range(n + 1))
             assert identity_lhs(n) == brute == 4**n
 
-    @pytest.mark.parametrize("n", [7143, census.MAX_ARITHMETIC_N])
+    @pytest.mark.parametrize("n", [7143, identity.MAX_ARITHMETIC_N])
     def test_identity_lhs_past_int_digit_limit(self, n):
         # 4^7143 is the first power of 4 with more than 4300 digits
         assert identity_lhs(n) == 4**n
@@ -423,7 +441,7 @@ class TestReportSerialization:
         limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
         fields = dict(line.split("=", 1) for line in report.to_kv().splitlines())
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
-        with census.exact_int_str():
+        with identity.exact_int_str():
             assert fields["identity_lhs"] == fields["total_paths"] == str(big)
 
     def test_json_roundtrips_kv_fields(self):

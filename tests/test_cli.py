@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from dyckflip import cli
-from dyckflip.census import MAX_ARITHMETIC_N, exact_int_str
+from dyckflip.identity import MAX_ARITHMETIC_N, exact_int_str
 from dyckflip.cli import MAX_STDIN_CHARS, build_parser, main
 from dyckflip.render import MAX_CELL_SIZE
 
