@@ -18,14 +18,16 @@ _HOMES = {
     **dict.fromkeys(
         "BijectionTrace Direction compose_law_check phi phi_inverse verify_roundtrip".split(), "bijection"
     ),
-    **dict.fromkeys("enumerate_class last_zero_touch split_at_last_zero verify_bijection".split(), "census"),
+    **dict.fromkeys(
+        "CensusReport enumerate_class last_zero_touch split_at_last_zero verify_bijection".split(), "census"
+    ),
     **dict.fromkeys("Decomposition Segment SegmentKind decompose recompose validate".split(), "decompose"),
     **dict.fromkeys(
         "DomainError DownStartError EmptyPathError NotBalancedError NotUnbalancedError OddLengthError ParseError "
         "PreconditionError RangeError ValidationError".split(),
         "errors",
     ),
-    **dict.fromkeys("CensusReport binomial identity_lhs verify_identity".split(), "identity"),
+    **dict.fromkeys("IdentityReport binomial identity_lhs verify_identity".split(), "identity"),
     **dict.fromkeys(
         "LatticePath PathClass all_paths classify concat format_path max_height parse_path rank reflect_all "
         "reflect_segment rightmost_crossing unrank".split(),

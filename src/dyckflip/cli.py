@@ -10,13 +10,13 @@ text on stdin longer than MAX_STDIN_CHARS.
 
 This module imports only `errors` and the standard library. Each command
 imports the kernels it runs when it runs, so `--help`, usage errors and
-`verify identity --mode arithmetic` never load numpy.
+`verify identity --mode arithmetic` never load numpy, and each `--json`
+branch imports `json`, which no other output needs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import TYPE_CHECKING, List, Optional
@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, List, Optional
 from .errors import MAX_CELL_SIZE, DomainError, ParseError, RangeError, ValidationError
 
 if TYPE_CHECKING:
-    from .identity import CensusReport
+    from .identity import _Report
     from .path import LatticePath
 
 # path text read from stdin, surrounding whitespace included: 2^20
@@ -126,6 +126,8 @@ def _run_map(args: argparse.Namespace, inverse: bool) -> int:
     p = _read_path(args.path, args.alphabet)
     image, trace = (phi_inverse if inverse else phi)(p)
     if args.as_json:
+        import json
+
         print(json.dumps(_trace_fields(p, image, trace, args.alphabet)))
         return 0
     print(format_path(image, args.alphabet))
@@ -145,6 +147,8 @@ def _run_decompose(args: argparse.Namespace) -> int:
     p = _read_path(args.path, args.alphabet)
     d = decompose(p)
     if args.as_json:
+        import json
+
         print(
             json.dumps(
                 {
@@ -172,10 +176,12 @@ def _run_decompose(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_report(report: CensusReport, as_json: bool) -> int:
+def _print_report(report: _Report, as_json: bool) -> int:
     from .identity import exact_int_str
 
     if as_json:
+        import json
+
         with exact_int_str():
             print(json.dumps(report.to_json_dict()))
     else:

@@ -1,12 +1,18 @@
 """The identity sum_{i=0..n} C(2i,i) * C(2n-2i,n-i) = 4^n, the census
-bounds, and the report that every census check returns.
+bounds, and the reports of the census checks.
 
 Arithmetic mode sums exact integers, each term from the one before by their
-ratio (2i+1)(n-i) / ((i+1)(2n-2i-1)), starting from C(2n,n). Structural
-mode splits every length-2n path at its last visit to height 0, which
-buckets the 4^n paths into exactly C(2i,i)*C(2n-2i,n-i) per prefix
-half-length i. This module imports no numpy: the structural branch imports
-the all-codes walk of `census`, and numpy with it, when it first runs.
+ratio (2i+1)(n-i) / ((i+1)(2n-2i-1)), starting from C(2n,n); term i equals
+term n-i, so it sums the lower half and doubles it. Structural mode splits
+every length-2n path at its last visit to height 0, which buckets the 4^n
+paths into exactly C(2i,i)*C(2n-2i,n-i) per prefix half-length i.
+
+Both checks return an `IdentityReport`, a plain class; the bijection sweep
+of `census` returns a `CensusReport`, a frozen dataclass with the same
+fields. The two share their verdict and text forms through `_Report`. This
+module imports neither numpy nor `dataclasses`: the structural branch
+imports the all-codes walk of `walk`, and numpy with it, when it first
+runs, and nothing else of the package.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ from __future__ import annotations
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Literal, Optional, Tuple
 
@@ -34,26 +39,12 @@ def binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
-@dataclass(frozen=True)
-class CensusReport:
-    """Exact counts and verdicts for one half-length n.
+class _Report:
+    """The verdict and the two text forms of a report, shared by
+    `IdentityReport` and the bijection sweep's `census.CensusReport`, which
+    carry the same fields."""
 
-    structural_tallies is only populated by the structural identity check;
-    tally_mismatches lists the prefix half-lengths whose bucket size
-    disagreed with the binomial product.
-    """
-
-    n: int
-    total_paths: int
-    balanced_count: int
-    unbalanced_count: int
-    identity_lhs: int
-    identity_rhs: int
-    bijection_ok: bool
-    roundtrip_failures: Tuple[int, ...]
-    elapsed: float
-    structural_tallies: Optional[Tuple[int, ...]] = None
-    tally_mismatches: Tuple[int, ...] = ()
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -93,6 +84,61 @@ class CensusReport:
             return "".join(f"{key}={_kv_text(value)}\n" for key, value in fields.items())
 
 
+class IdentityReport(_Report):
+    """Exact counts and verdicts of `verify_identity` for one half-length n.
+
+    structural_tallies is only populated by the structural check;
+    tally_mismatches lists the prefix half-lengths whose bucket size
+    disagreed with the binomial product. A plain class, not a dataclass:
+    the arithmetic check then loads no `dataclasses`, and with it
+    `inspect`, which would be most of its import.
+    """
+
+    __slots__ = (
+        "n",
+        "total_paths",
+        "balanced_count",
+        "unbalanced_count",
+        "identity_lhs",
+        "identity_rhs",
+        "bijection_ok",
+        "roundtrip_failures",
+        "elapsed",
+        "structural_tallies",
+        "tally_mismatches",
+    )
+
+    def __init__(
+        self,
+        n: int,
+        total_paths: int,
+        balanced_count: int,
+        unbalanced_count: int,
+        identity_lhs: int,
+        identity_rhs: int,
+        bijection_ok: bool,
+        roundtrip_failures: Tuple[int, ...],
+        elapsed: float,
+        structural_tallies: Optional[Tuple[int, ...]] = None,
+        tally_mismatches: Tuple[int, ...] = (),
+    ) -> None:
+        self.n = n
+        self.total_paths = total_paths
+        self.balanced_count = balanced_count
+        self.unbalanced_count = unbalanced_count
+        self.identity_lhs = identity_lhs
+        self.identity_rhs = identity_rhs
+        self.bijection_ok = bijection_ok
+        self.roundtrip_failures = roundtrip_failures
+        self.elapsed = elapsed
+        self.structural_tallies = structural_tallies
+        self.tally_mismatches = tally_mismatches
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"IdentityReport({fields})"
+
+
 def _kv_text(value: object) -> str:
     if isinstance(value, list):
         return ",".join(map(str, value))
@@ -116,16 +162,24 @@ def exact_int_str() -> Iterator[None]:
 
 def identity_lhs(n: int) -> int:
     """The binomial convolution sum_{i} C(2i,i) * C(2n-2i,n-i)."""
-    # term i + 1 is term i times (2i+1)(n-i) / ((i+1)(2n-2i-1)), exactly
-    t = comb(2 * n, n)
-    total = t
-    for i in range(n):
-        t = t * ((2 * i + 1) * (n - i)) // ((i + 1) * (2 * n - 2 * i - 1))
+    return _convolution(n, comb(2 * n, n))
+
+
+def _convolution(n: int, t: int) -> int:
+    """identity_lhs(n), from its first term t = C(2n, n)."""
+    # term i equals term n - i: sum the terms i < n/2, double them, and add
+    # the middle term if n is even; term i + 1 is term i times
+    # (2i+1)(n-i) / ((i+1)(2n-2i-1)), exactly
+    total = 0
+    for i in range(n // 2):
         total += t
-    return total
+        t = t * ((2 * i + 1) * (n - i)) // ((i + 1) * (2 * n - 2 * i - 1))
+    # t is now term n // 2: the middle term if n is even, else the last of
+    # the lower half
+    return 2 * total + (2 * t if n % 2 else t)
 
 
-def verify_identity(n: int, mode: IdentityMode = "arithmetic") -> CensusReport:
+def verify_identity(n: int, mode: IdentityMode = "arithmetic") -> IdentityReport:
     """Check the central-binomial convolution identity for one n.
 
     Arithmetic mode evaluates both sides with exact integers, each term of
@@ -138,13 +192,13 @@ def verify_identity(n: int, mode: IdentityMode = "arithmetic") -> CensusReport:
     if mode == "arithmetic":
         if not 0 <= n <= MAX_ARITHMETIC_N:
             raise RangeError(f"arithmetic mode requires n in [0, {MAX_ARITHMETIC_N}], got {n}")
-        lhs = identity_lhs(n)
-        return CensusReport(
+        central = comb(2 * n, n)
+        return IdentityReport(
             n=n,
             total_paths=4**n,
-            balanced_count=comb(2 * n, n),
-            unbalanced_count=comb(2 * n, n),
-            identity_lhs=lhs,
+            balanced_count=central,
+            unbalanced_count=central,
+            identity_lhs=_convolution(n, central),
             identity_rhs=4**n,
             bijection_ok=True,
             roundtrip_failures=(),
@@ -157,7 +211,7 @@ def verify_identity(n: int, mode: IdentityMode = "arithmetic") -> CensusReport:
     # the walk, and numpy with it, load on the first structural check only
     import numpy as np
 
-    from .census import _last_zero
+    from .walk import _last_zero
 
     length = 2 * n
     tallies = np.zeros(n + 1, dtype=np.int64)
@@ -167,7 +221,7 @@ def verify_identity(n: int, mode: IdentityMode = "arithmetic") -> CensusReport:
     expected = [comb(2 * i, i) * comb(2 * (n - i), n - i) for i in range(n + 1)]
     mismatches = tuple(i for i in range(n + 1) if int(tallies[i]) != expected[i])
     lhs = int(tallies.sum())
-    return CensusReport(
+    return IdentityReport(
         n=n,
         total_paths=1 << length,
         balanced_count=int(tallies[n]),

@@ -111,7 +111,12 @@ class LatticePath:
 
     @property
     def end_height(self) -> int:
-        return 2 * self._buf.count(UP_BYTE) - len(self._buf)
+        # an up byte has 1 bit set and a down byte 8, so the buffer's
+        # popcount is L + 7D; one popcount of the buffer read as an int does
+        # not branch on each byte as bytes.count does
+        length = len(self._buf)
+        down = (int.from_bytes(self._buf, "little").bit_count() - length) // 7
+        return length - 2 * down
 
     def __len__(self) -> int:
         return len(self._buf)

@@ -13,7 +13,6 @@ from pathlib import Path
 from dyckflip import (
     LatticePath,
     PathClass,
-    census,
     classify,
     compose_law_check,
     decompose,
@@ -26,6 +25,7 @@ from dyckflip import (
     unrank,
     verify_bijection,
     verify_identity,
+    walk,
 )
 from dyckflip.identity import identity_lhs
 from dyckflip.cli import main
@@ -146,7 +146,7 @@ def test_criterion_7_decomposition_roundtrip():
 def test_criterion_8_chunk_determinism(monkeypatch):
     reports = []
     for chunk in (7, 8, 40, 1 << 16):
-        monkeypatch.setattr(census, "_CHUNK", chunk)
+        monkeypatch.setattr(walk, "_CHUNK", chunk)
         reports.append(verify_bijection(8).to_kv())
     report("8 determinism under chunk size", len(set(reports)) == 1)
 

@@ -1,13 +1,16 @@
+import dataclasses
 import json
 import sys
 import tracemalloc
 from collections import Counter
+from math import comb
 
 import numpy as np
 import pytest
 
 from dyckflip import (
     CensusReport,
+    IdentityReport,
     LatticePath,
     OddLengthError,
     PathClass,
@@ -27,6 +30,7 @@ from dyckflip import (
     unrank,
     verify_bijection,
     verify_identity,
+    walk,
 )
 
 
@@ -105,13 +109,18 @@ class TestLastZeroWalk:
     def test_matches_per_path_reference(self, monkeypatch, length):
         expected = [last_zero_touch(unrank(length, code)) for code in range(1 << length)]
         for chunk in (7, 8, 40, 1 << 16):
-            monkeypatch.setattr(census, "_CHUNK", chunk)
-            chunks = list(census._last_zero(length))
+            monkeypatch.setattr(walk, "_CHUNK", chunk)
+            chunks = list(walk._last_zero(length))
             assert all(last.dtype == np.int8 for _, last in chunks)
             assert [(lo, len(last)) for lo, last in chunks] == [
                 (lo, min(chunk, (1 << length) - lo)) for lo in range(0, 1 << length, chunk)
             ]
             assert np.concatenate([last for _, last in chunks]).tolist() == expected
+
+    def test_chunk_lives_with_the_walk(self):
+        # a stale patch of census._CHUNK then raises, where it would
+        # otherwise leave the walk's chunk size as it was
+        assert not hasattr(census, "_CHUNK")
 
     @pytest.mark.parametrize("length", range(17, 31))
     def test_tables_match_per_path_reference_past_one_run(self, length):
@@ -119,7 +128,7 @@ class TestLastZeroWalk:
         # range of codes, here single codes and windows across the ends of
         # runs, which are 2^16 codes long at the default chunk size
         rng = np.random.default_rng(length)
-        last_of = census._last_zero_tables(length)
+        last_of = walk._last_zero_tables(length)
         codes = [0, (1 << length) - 1, *rng.integers(0, 1 << length, 300).tolist()]
         for code in codes:
             assert last_of(code, code + 1).tolist() == [last_zero_touch(unrank(length, code))]
@@ -170,7 +179,7 @@ class TestEnumerateClass:
     def test_chunk_determinism(self, monkeypatch):
         outputs = []
         for chunk in (7, 8, 40, 1 << 16):
-            monkeypatch.setattr(census, "_CHUNK", chunk)
+            monkeypatch.setattr(walk, "_CHUNK", chunk)
             outputs.append([list(enumerate_class(10, cls)) for cls in (None, *PathClass)])
         assert all(out == outputs[0] for out in outputs)
 
@@ -252,7 +261,7 @@ class TestVerifyBijection:
             ud = np.tile(np.array([1, -1], dtype=np.int8), (len(rows), 1))
             return np.hstack([ud, orig(rows[:, 2:])[0]]), None
 
-        monkeypatch.setattr(census, "_CHUNK", chunk)
+        monkeypatch.setattr(walk, "_CHUNK", chunk)
         monkeypatch.setattr(census, "phi_rows", stub)
         report = verify_bijection(n)
         assert not report.bijection_ok
@@ -286,7 +295,7 @@ class TestVerifyBijection:
     def test_collision_caught_by_round_trip(self, monkeypatch, chunk, make_stub, failures):
         # the balanced codes of n = 2 are 3, 5, 6 | 9, 10, 12 in chunks of 8;
         # a path whose image repeats an earlier one maps back to that one
-        monkeypatch.setattr(census, "_CHUNK", chunk)
+        monkeypatch.setattr(walk, "_CHUNK", chunk)
         monkeypatch.setattr(census, "phi_rows", make_stub(census.phi_rows))
         report = verify_bijection(2)
         assert not report.bijection_ok
@@ -307,7 +316,7 @@ class TestVerifyBijection:
     def test_chunk_determinism(self, monkeypatch):
         reports = []
         for chunk in (7, 8, 40, 1 << 16):
-            monkeypatch.setattr(census, "_CHUNK", chunk)
+            monkeypatch.setattr(walk, "_CHUNK", chunk)
             reports.append(verify_bijection(4).to_kv())
         assert len(set(reports)) == 1
 
@@ -345,6 +354,15 @@ class TestVerifyIdentity:
         assert report.tally_mismatches == ()
         assert report.ok
 
+    def test_report_classes(self):
+        # the identity checks return a plain class, the sweep a dataclass
+        for mode in ("arithmetic", "structural"):
+            report = verify_identity(2, mode)
+            assert type(report) is IdentityReport and not dataclasses.is_dataclass(report)
+        report = verify_bijection(2)
+        assert type(report) is CensusReport
+        assert not dataclasses.replace(report, roundtrip_failures=(3,)).ok
+
     @pytest.mark.parametrize("n", range(0, 7))
     def test_modes_agree(self, n):
         a = verify_identity(n, "arithmetic")
@@ -361,7 +379,7 @@ class TestVerifyIdentity:
     def test_structural_chunk_determinism(self, monkeypatch):
         reports = []
         for chunk in (7, 8, 40, 1 << 16):
-            monkeypatch.setattr(census, "_CHUNK", chunk)
+            monkeypatch.setattr(walk, "_CHUNK", chunk)
             reports.append(verify_identity(6, "structural").to_kv())
         assert len(set(reports)) == 1
 
@@ -383,13 +401,26 @@ class TestVerifyIdentity:
     def test_identity_lhs_matches_brute_sum(self):
         # the central binomials off one pass down Pascal's triangle, as pascal builds it
         central, row = [], [1]
-        for m in range(600):
+        for m in range(602):
             if m % 2 == 0:
                 central.append(row[m // 2])
             row = [a + b for a, b in zip([0] + row, row + [0])]
-        for n in range(0, 300):
+        for n in range(0, 301):
             brute = sum(central[i] * central[n - i] for i in range(n + 1))
             assert identity_lhs(n) == brute == 4**n
+
+    def test_identity_lhs_matches_direct_sum_at_large_n(self):
+        # every term of the sum, on both sides of the middle term, for odd
+        # and even n; the central binomials come off their own recurrence
+        # c(i+1) = c(i) 2(2i+1) / (i+1), checked against math.comb, which
+        # would take about a minute for all of them
+        central = [1]
+        for i in range(identity.MAX_ARITHMETIC_N):
+            central.append(central[i] * 2 * (2 * i + 1) // (i + 1))
+        for i in (1, 2, 299, 4000, 4001, identity.MAX_ARITHMETIC_N):
+            assert central[i] == comb(2 * i, i)
+        for n in (4000, 4001, 9999, identity.MAX_ARITHMETIC_N):
+            assert identity_lhs(n) == sum(central[i] * central[n - i] for i in range(n + 1)), n
 
     @pytest.mark.parametrize("n", [7143, identity.MAX_ARITHMETIC_N])
     def test_identity_lhs_past_int_digit_limit(self, n):
@@ -443,6 +474,22 @@ class TestReportSerialization:
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
         with identity.exact_int_str():
             assert fields["identity_lhs"] == fields["total_paths"] == str(big)
+
+    def test_identity_and_bijection_reports_print_alike(self):
+        fields = dict(
+            n=3,
+            total_paths=64,
+            balanced_count=20,
+            unbalanced_count=20,
+            identity_lhs=64,
+            identity_rhs=64,
+            bijection_ok=True,
+            roundtrip_failures=(),
+            elapsed=0.5,
+        )
+        for extra in ({}, {"structural_tallies": (20, 12, 12, 20)}, {"roundtrip_failures": (7,)}):
+            a, b = IdentityReport(**{**fields, **extra}), CensusReport(**{**fields, **extra})
+            assert (a.ok, a.to_kv(), a.to_json_dict()) == (b.ok, b.to_kv(), b.to_json_dict())
 
     def test_json_roundtrips_kv_fields(self):
         report = verify_identity(4, "structural")

@@ -417,6 +417,26 @@ class TestAgainstReferenceDefinitions:
         for p in paths:
             assert classify(p) is reference_classify(p.steps)
 
+    @pytest.mark.parametrize("length", range(0, 13))
+    def test_end_height_exhaustive(self, length):
+        for code in range(1 << length):
+            p = unrank(length, code)
+            assert p.end_height == sum(p.steps)
+
+    def test_end_height_random_buffers(self):
+        # lengths on both sides of the int's 30-bit digits and of 2^16,
+        # random and all one step
+        rng = random.Random(65536)
+        to_steps = bytes(1 if i & 1 else 255 for i in range(256))
+        lengths = [0, 1, 7, 8, 29, 30, 31, 60, 61, 4876, 16000, (1 << 16) - 1, 1 << 16]
+        lengths += rng.sample(range(1, 1 << 16), 20)
+        for length in lengths:
+            bufs = [rng.randbytes(length).translate(to_steps) for _ in range(3)]
+            bufs += [b"\x01" * length, b"\xff" * length]
+            for buf in bufs:
+                p = LatticePath._trusted(buf)
+                assert p.end_height == sum(p.steps), length
+
     @pytest.mark.parametrize("length", range(0, 15))
     def test_max_height_and_last_zero_touch_exhaustive(self, length):
         for code in range(1 << length):

@@ -3,6 +3,7 @@ already, so a deferred import that is missing, or one that loads numpy
 where it should not, shows only in a new process: each test here starts
 one."""
 
+import ast
 import json
 import os
 import re
@@ -83,6 +84,53 @@ def test_arithmetic_identity_and_errors_load_no_numpy():
     assert range_error[:2] == (2, "") and range_error[2].startswith("error: Range: ")
     assert range_error[2].count("\n") == 1
     assert usage_error[:2] == (2, "") and "invalid choice: 'bogus'" in usage_error[2]
+
+
+# runs dyckflip.cli.main on one command line with its output captured, and
+# prints its exit code, its output and the modules it loaded that the bare
+# interpreter had not
+LOADS = """
+import io, sys
+
+bare = set(sys.modules)
+sys.stdout = io.StringIO()
+from dyckflip.cli import main
+
+code = main(sys.argv[1:])
+out, sys.stdout = sys.stdout.getvalue(), sys.__stdout__
+print(repr([code, out, sorted(set(sys.modules) - bare)]))
+"""
+
+
+def loads(*argv):
+    proc = fresh("-c", LOADS, *argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return ast.literal_eval(proc.stdout)
+
+
+def test_cli_import_loads_no_json():
+    # only the --json branches print JSON, and each imports json itself
+    proc = fresh("-c", "import sys; bare = set(sys.modules); import dyckflip.cli; print(*set(sys.modules) - bare)")
+    assert proc.returncode == 0, proc.stderr
+    added = proc.stdout.split()
+    assert "dyckflip.cli" in added and "json" not in added
+
+
+def test_arithmetic_identity_loads_neither_numpy_nor_dataclasses():
+    code, out, plain = loads("verify", "identity", "--n", "4000")
+    assert code == 0 and out.endswith("\nok=true\n")
+    code, out, as_json = loads("verify", "identity", "--n", "2", "--mode", "arithmetic", "--json")
+    assert code == 0 and json.loads(out)["identity_lhs"] == 16
+    for added in (plain, as_json):
+        assert "dyckflip.identity" in added
+        assert [m for m in added if m == "dataclasses" or m.split(".")[0] == "numpy"] == []
+
+
+def test_structural_identity_loads_the_walk_alone():
+    code, out, added = loads("verify", "identity", "--n", "3", "--mode", "structural")
+    assert (code, out) == (0, (GOLDEN / "verify_identity_n3_structural.txt").read_text())
+    assert {"dyckflip.walk", "numpy"} <= set(added)
+    assert {"dyckflip.census", "dyckflip.bijection", "dyckflip.path"}.isdisjoint(added)
 
 
 NAMESPACE = """
