@@ -23,9 +23,9 @@ to a new peak, so each of its steps reaches a new strict maximum height;
 no segment step does. Keeping the upruns and flipping the segments
 therefore keeps exactly the steps where the prefix maximum of the heights
 rises, and flips every other step. The peaks are the ends of the maximal
-runs of kept steps, and the image height at vertex j is
-2*max(h_0..h_j) - h_j: it never re-touches the baseline and ends at twice
-the input's maximum height M.
+runs of kept steps (decompose reads its upruns off the same mask), and
+the image height at vertex j is 2*max(h_0..h_j) - h_j: it never re-touches
+the baseline and ends at twice the input's maximum height M.
 
 Inverse, last passage. In the image, the vertex of the global peak is the
 rightmost strict crossing b of level M, i.e. 1 + the last vertex at height
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 from operator import sub
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -99,12 +99,17 @@ def _mirror_heights(steps: np.ndarray) -> np.ndarray:
     return h
 
 
+def _first_passage(h: np.ndarray) -> np.ndarray:
+    """The first-passage mask of heights h_0..h_L on the last axis: the
+    steps that reach a new strict maximum. Scans h in place."""
+    top = np.maximum.accumulate(h, axis=-1, out=h)
+    return top[..., 1:] > top[..., :-1]
+
+
 def phi_rows(steps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """phi on every row of an int8 array of balanced step rows: the image
     rows and the mask of kept steps."""
-    h = _mirror_heights(steps)
-    top = np.maximum.accumulate(h, axis=1, out=h)
-    kept = top[:, 1:] > top[:, :-1]
+    kept = _first_passage(_mirror_heights(steps))
     return np.where(kept, steps, -steps), kept
 
 
@@ -126,18 +131,27 @@ def phi_inverse_rows(steps: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndar
     return np.where(kept, steps, -steps), kept, unbalanced
 
 
-def _trace(kept: np.ndarray, direction: Direction, s: int) -> BijectionTrace:
-    """Trace of the forward map of a balanced path whose first step is s,
-    from the kept-step mask of its up-start mirror."""
+def _upruns(kept: np.ndarray) -> Tuple[List[int], List[int], List[int]]:
+    """The upruns of an up-start balanced path, from its first-passage mask:
+    the start and end vertex of each maximal run of kept steps and the
+    height of its end, the peak, left to right."""
     # the vertices where the mask changes, after 0: the first step is kept
     # and the last is not, so they are the end of the first run of kept
     # steps, then the start and end of each later one
     edges = [0, *((kept[1:] != kept[:-1]).nonzero()[0] + 1).tolist()]
     starts = edges[::2]
     ends = edges[1::2]
-    # the peak heights times s, right to left; each later run starts at the
-    # height of the peak before it, in the image too
-    peaks = list(accumulate(map(sub, ends, starts) if s == UP else map(sub, starts, ends)))[::-1]
+    # each later run starts at the height of the peak before it
+    return starts, ends, list(accumulate(map(sub, ends, starts)))
+
+
+def _trace(kept: np.ndarray, direction: Direction, s: int) -> BijectionTrace:
+    """Trace of the forward map of a balanced path whose first step is s,
+    from the kept-step mask of its up-start mirror."""
+    starts, ends, heights = _upruns(kept)
+    # the peak heights times s, right to left; in the image too, each later
+    # run starts at the height of the peak before it
+    peaks = heights[::-1] if s == UP else [-h for h in reversed(heights)]
     return BijectionTrace(
         b_points=tuple(zip(ends[::-1], peaks)),
         g_points=((len(kept), 2 * peaks[0]), *zip(starts[:0:-1], peaks[1:])),

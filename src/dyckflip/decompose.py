@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Tuple
 
-import numpy as np
-
+from .bijection import _first_passage, _upruns
 from .errors import (
     DownStartError,
     EmptyPathError,
@@ -60,14 +59,10 @@ def decompose(p: LatticePath) -> Decomposition:
     """Split an up-starting balanced path into upruns and down segments.
 
     The upruns are the maximal runs of first-passage up-steps, the steps
-    that reach a new strict maximum height, and their ends are the peaks.
-    They climb from 0 to the maximum one level per step, so each peak sits
-    at the total length of the runs up to it, and each segment runs from
-    its peak to the start of the next run, the last one to the end. A run
-    ends at the next down-step, and the next one starts one vertex before
-    the first visit to the level above its peak. Those vertices come from
-    one numpy scan of the int32 heights: the steps where the running
-    maximum rises, one per level.
+    that reach a new strict maximum height, and their ends are the peaks:
+    the runs of phi's kept steps, read off the same mask by the same
+    reader. Each segment is the slice of the path's bytes from its peak to
+    the start of the next run, the last one to the end.
     """
     if p.length == 0:
         raise EmptyPathError("cannot decompose the empty path")
@@ -78,28 +73,13 @@ def decompose(p: LatticePath) -> Decomposition:
         raise DownStartError("path starts with a downstep; reflect it first")
 
     buf = p._buf
-    # rises[t] is the vertex before the first visit to level t + 1: the
-    # running maximum rises there, one level at a time
-    m = np.maximum.accumulate(h)
-    rises = (m[1:] != m[:-1]).nonzero()[0].tolist()
-    parts = []
-    peak_indices = []
-    peak_heights = []
-    start = top = 0
-    kind = SegmentKind.DOWN_DYCK
-    while kind is SegmentKind.DOWN_DYCK:
-        # a balanced path comes down from every peak
-        end = buf.find(DOWN_BYTE, start)
-        top += end - start
-        if top < len(rises):
-            next_start = rises[top]
-        else:
-            next_start, kind = p.length, SegmentKind.DOWN_UNBALANCED
-        parts.append((end - start, Segment(kind, LatticePath._trusted(buf[end:next_start]), end)))
-        peak_indices.append(end)
-        peak_heights.append(top)
-        start = next_start
-    return Decomposition(parts=tuple(parts), peak_indices=tuple(peak_indices), peak_heights=tuple(peak_heights))
+    starts, ends, heights = _upruns(_first_passage(h))
+    kinds = [SegmentKind.DOWN_DYCK] * (len(ends) - 1) + [SegmentKind.DOWN_UNBALANCED]
+    parts = [
+        (end - start, Segment(kind, LatticePath._trusted(buf[end:next_start]), end))
+        for start, end, next_start, kind in zip(starts, ends, [*starts[1:], len(buf)], kinds)
+    ]
+    return Decomposition(parts=tuple(parts), peak_indices=tuple(ends), peak_heights=tuple(heights))
 
 
 def validate(d: Decomposition) -> List[str]:

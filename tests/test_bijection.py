@@ -31,6 +31,7 @@ from dyckflip import (
     verify_roundtrip,
 )
 from dyckflip.bijection import phi_inverse_rows, phi_rows
+from peak_reference import reference_decompose
 
 
 def paths_of_class(length, cls):
@@ -334,7 +335,7 @@ def reference_phi(p):
     if p.steps[0] == -1:
         image, fields = reference_phi(reflect_all(p))
         return reflect_all(image), _conjugate_fields(fields)
-    d = decompose(p)
+    d = reference_decompose(p)
     steps = []
     seg_ends = []
     for up_len, seg in d.parts:
