@@ -27,16 +27,18 @@ runs of kept steps (decompose reads its upruns off the same mask), and
 the image height at vertex j is 2*max(h_0..h_j) - h_j: it never re-touches
 the baseline and ends at twice the input's maximum height M.
 
-Inverse, last passage. In the image, the vertex of the global peak is the
-rightmost strict crossing b of level M, i.e. 1 + the last vertex at height
-M - 1. Before b, a kept step starts at a record height r of the preimage
-and the image never comes back down to r before b, while every flipped
-step starts at or above the image height of the next run's start.
-So the kept steps are the up-steps j < b with h_j < min(h_{j+1..b}), the
-steps after which the suffix minimum up to b rises, found by one scan, and
-every other step is flipped back. These are the steps the forward map
-keeps on the preimage, so the trace of the inverse is the trace of the
-forward map of its preimage.
+Inverse, last passage. Let M be half the image's end height (the
+preimage's maximum) and b the vertex of the global peak: the image is at
+M - 1 at b - 1 and, being the final segment reflected upward from b on,
+never below M after it. Before b, a kept step starts at a record height r
+of the preimage and the image never comes back down to r before b, while
+every flipped step starts at or above the image height of the next run's
+start. Since for j < b the suffix minimum of the whole row is the one up
+to b, the kept steps are the j with h_j < min(h_{j+1..L}) and h_j < M, the
+level cut standing in for j < b: one scan, with no crossing search, whose
+value at vertex 1 also gives the domain. Every other step is flipped back.
+These are the steps the forward map keeps on the preimage, so the trace
+of the inverse is the trace of the forward map of its preimage.
 """
 
 from __future__ import annotations
@@ -95,7 +97,8 @@ def _mirror_heights(steps: np.ndarray) -> np.ndarray:
     """Heights h_0..h_L of each row's up-start mirror s*steps, s its first
     step; int32 holds +-L for a path of any length."""
     h = np.zeros((steps.shape[0], steps.shape[1] + 1), dtype=np.int32)
-    np.add.accumulate(steps * steps[:, :1], axis=1, dtype=np.int32, out=h[:, 1:])
+    np.multiply(steps, steps[:, :1], out=h[:, 1:])
+    np.add.accumulate(h[:, 1:], axis=1, out=h[:, 1:])
     return h
 
 
@@ -114,21 +117,15 @@ def phi_rows(steps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def phi_inverse_rows(steps: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """phi_inverse on every row of an int8 array of nonempty step rows of
-    even length: the preimages, their kept steps (phi_rows' mask on them),
+    """phi_inverse on every row of an int8 array of step rows of even length,
+    zero included: the preimages, their kept steps (phi_rows' mask on them),
     junk off the domain, and the domain: rows whose mirror stays above 0."""
     h = _mirror_heights(steps)
-    unbalanced = h[:, 1:].min(axis=1, initial=1) > 0
-    length = steps.shape[1]
-    # b = 1 + the last vertex at height M - 1, where M = h_L / 2
-    b = length + 1 - (h == h[:, -1:] // 2 - 1)[:, ::-1].argmax(axis=1)
-    # vertices from b on get L + 1, above every height, so they are never
-    # kept and never the minimum; h_b = M, above h_(b-1) = M - 1, never was
-    h[np.arange(length + 1) >= b[:, None]] = length + 1
+    # low_j = min(h_j..h_L), so low_L = h_L = 2M
     low = np.minimum.accumulate(h[:, ::-1], axis=1, out=h[:, ::-1])[:, ::-1]
-    # h_j < min(h_(j+1..b)) iff the suffix minimum rises after vertex j
-    kept = low[:, :-1] < low[:, 1:]
-    return np.where(kept, steps, -steps), kept, unbalanced
+    # step j is kept iff the suffix minimum rises after vertex j, below M
+    kept = (low[:, :-1] < low[:, 1:]) & (low[:, :-1] < low[:, -1:] // 2)
+    return np.where(kept, steps, -steps), kept, low[:, 1:2].min(axis=1, initial=1) > 0
 
 
 def _upruns(kept: np.ndarray) -> Tuple[List[int], List[int], List[int]]:

@@ -18,7 +18,6 @@ from dyckflip import (
     classify,
     compose_law_check,
     concat,
-    decompose,
     format_path,
     max_height,
     parse_path,
@@ -209,7 +208,7 @@ class TestInvariants:
             if p.steps[0] != 1:
                 continue
             _, forward = phi(p)
-            d = decompose(p)
+            d = reference_decompose(p)
             assert forward.reflection_lines == tuple(reversed(d.peak_heights))
             image, _ = phi(p)
             _, inverse = phi_inverse(image)
@@ -425,12 +424,15 @@ def long_up_unbalanced(draw):
 
 
 class TestLongPaths:
-    @pytest.mark.parametrize("shape", ["peak", "random"])
+    @pytest.mark.parametrize("shape", ["peak", "level", "random"])
     def test_past_int16(self, shape):
-        # the image of U^40000 D^40000 climbs to 80,000, and a 70,000-step
-        # path puts L + 1 = 70,001 into its suffix-min scan: int16 wraps
+        # the images of U^40000 D^40000 and U^20000 (DU)^15000 D^20000 climb
+        # to 80,000 and 40,000, where int16 heights wrap, and the random
+        # path has 70,000 steps, more than int16 can count
         if shape == "peak":
             steps = [1] * 40000 + [-1] * 40000
+        elif shape == "level":
+            steps = [1] * 20000 + [-1, 1] * 15000 + [-1] * 20000
         else:
             steps = [1, -1] * 35000
             random.Random(0).shuffle(steps)
@@ -438,6 +440,10 @@ class TestLongPaths:
         image, _ = phi(p)
         assert classify(image) in (PathClass.UP_UNBALANCED, PathClass.DOWN_UNBALANCED)
         assert phi_inverse(image)[0] == p
+        if shape == "level":
+            # after its peak the image U^m (UD)^r U^m comes back to level
+            # M = m, half its end height, r times; none of those steps is kept
+            assert image == parse_path("U" * 20000 + "UD" * 15000 + "U" * 20000)
 
     @settings(max_examples=20, deadline=None)
     @given(long_balanced())
@@ -447,7 +453,7 @@ class TestLongPaths:
         if p.steps[0] == 1:
             assert classify(image) is PathClass.UP_UNBALANCED
             assert image.end_height == 2 * max_height(p)[0]
-            assert decompose(p).peak_indices == tuple(i for i, _ in reversed(trace.b_points))
+            assert reference_decompose(p).peak_indices == tuple(i for i, _ in reversed(trace.b_points))
         else:
             assert classify(image) is PathClass.DOWN_UNBALANCED
             assert image.end_height == -2 * max_height(reflect_all(p))[0]
