@@ -128,27 +128,28 @@ def phi_inverse_rows(steps: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndar
     return np.where(kept, steps, -steps), kept, low[:, 1:2].min(axis=1, initial=1) > 0
 
 
-def _upruns(kept: np.ndarray) -> Tuple[List[int], List[int], List[int]]:
+def _upruns(kept: np.ndarray, s: int = UP) -> Tuple[List[int], List[int], List[int]]:
     """The upruns of an up-start balanced path, from its first-passage mask:
     the start and end vertex of each maximal run of kept steps and the
-    height of its end, the peak, left to right."""
+    height of its end, the peak, times s, left to right."""
     # the vertices where the mask changes, after 0: the first step is kept
     # and the last is not, so they are the end of the first run of kept
     # steps, then the start and end of each later one
     edges = [0, *((kept[1:] != kept[:-1]).nonzero()[0] + 1).tolist()]
     starts = edges[::2]
     ends = edges[1::2]
-    # each later run starts at the height of the peak before it
-    return starts, ends, list(accumulate(map(sub, ends, starts)))
+    # each later run starts at the height of the peak before it; a run
+    # rises end - start, which s = -1 turns into a fall of start - end
+    return starts, ends, list(accumulate(map(sub, ends, starts) if s == UP else map(sub, starts, ends)))
 
 
 def _trace(kept: np.ndarray, direction: Direction, s: int) -> BijectionTrace:
     """Trace of the forward map of a balanced path whose first step is s,
     from the kept-step mask of its up-start mirror."""
-    starts, ends, heights = _upruns(kept)
+    starts, ends, heights = _upruns(kept, s)
     # the peak heights times s, right to left; in the image too, each later
     # run starts at the height of the peak before it
-    peaks = heights[::-1] if s == UP else [-h for h in reversed(heights)]
+    peaks = heights[::-1]
     return BijectionTrace(
         b_points=tuple(zip(ends[::-1], peaks)),
         g_points=((len(kept), 2 * peaks[0]), *zip(starts[:0:-1], peaks[1:])),

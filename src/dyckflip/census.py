@@ -1,6 +1,6 @@
 """Exhaustive verification over the rank space, with numpy. The identity,
-its report and the bounds live in `identity`, which loads no numpy; the
-all-codes walk lives in `walk`, which loads nothing of this package.
+its report and the bounds live in `identity`, and the all-codes walk in
+`walk`; neither loads numpy, and the walk loads nothing of this package.
 
 The partial-reflection map is a bijection between balanced and unbalanced
 paths of each even length, verified by sweeping the whole rank space:
@@ -12,12 +12,12 @@ unbalanced, and as many distinct images as there are unbalanced paths are
 all of them, so the counts prove that the map is onto.
 
 One walk over all codes, a chunk at a time, gives each path's last vertex
-at height 0 (`walk._last_zero`), and the bijection sweep and
-`enumerate_class` read their classes off it: a path is balanced iff that
-is its last vertex, unbalanced iff its first. The bijection sweep decodes
-the chunk's balanced codes into int8 step rows for the row kernels of
-`bijection`, forward and back, which phi and phi_inverse run on one row,
-and returns a `CensusReport`.
+at height 0 as one byte (`walk._last_zero`), and the bijection sweep and
+`enumerate_class` read their classes off an int8 view of the chunk's
+bytes: a path is balanced iff that is its last vertex, unbalanced iff its
+first. The bijection sweep decodes the chunk's balanced codes into int8
+step rows for the row kernels of `bijection`, forward and back, which phi
+and phi_inverse run on one row, and returns a `CensusReport`.
 """
 
 from __future__ import annotations
@@ -85,6 +85,7 @@ def enumerate_class(length: int, cls: Optional[PathClass] = None) -> Iterator[La
     if not 0 <= length <= 30:
         raise RangeError(f"length must be in [0, 30], got {length}")
     for lo, last in _last_zero(length):
+        last = np.frombuffer(last, np.int8)
         codes = np.arange(lo, lo + len(last), dtype=np.int32)
         if cls is not None:
             # the index of each class in PathClass: balanced, up, down, other
@@ -133,6 +134,7 @@ def verify_bijection(n: int) -> CensusReport:
     failures: List[int] = []
 
     for lo, last in _last_zero(length):
+        last = np.frombuffer(last, np.int8)
         # a ±1 walk cannot change sign without passing 0, so a path that
         # never returns to 0 stays on one side: unbalanced
         balanced = lo + np.flatnonzero(last == length)

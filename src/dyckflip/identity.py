@@ -10,9 +10,11 @@ paths into exactly C(2i,i)*C(2n-2i,n-i) per prefix half-length i.
 Both checks return an `IdentityReport`, a plain class; the bijection sweep
 of `census` returns a `CensusReport`, a frozen dataclass with the same
 fields. The two share their verdict and text forms through `_Report`. This
-module imports neither numpy nor `dataclasses`: the structural branch
-imports the all-codes walk of `walk`, and numpy with it, when it first
-runs, and nothing else of the package.
+module imports neither numpy nor `dataclasses`, and neither mode loads
+them: the structural branch imports the all-codes walk of `walk`, which
+imports no numpy, when it first runs, and nothing else of the package. It
+counts each chunk's bytes of last vertices, one per path, with
+`bytes.count`.
 """
 
 from __future__ import annotations
@@ -208,29 +210,32 @@ def verify_identity(n: int, mode: IdentityMode = "arithmetic") -> IdentityReport
         raise RangeError(f"unknown identity mode {mode!r}")
     if not 0 <= n <= MAX_STRUCTURAL_N:
         raise RangeError(f"structural mode requires n in [0, {MAX_STRUCTURAL_N}], got {n}")
-    # the walk, and numpy with it, load on the first structural check only
-    import numpy as np
-
+    # the walk loads on the first structural check only
     from .walk import _last_zero
 
     length = 2 * n
-    tallies = np.zeros(n + 1, dtype=np.int64)
+    tallies = [0] * (n + 1)
     for _, last in _last_zero(length):
-        tallies += np.bincount(last >> 1, minlength=n + 1)
+        # one byte per path, its last vertex at 0: twice its prefix
+        # half-length; `in` stops at the first match and scans at memchr
+        # speed, so a vertex that no path of the chunk has costs far less
+        # than a count that finds none
+        for i in range(n + 1):
+            if 2 * i in last:
+                tallies[i] += last.count(2 * i)
 
     expected = [comb(2 * i, i) * comb(2 * (n - i), n - i) for i in range(n + 1)]
-    mismatches = tuple(i for i in range(n + 1) if int(tallies[i]) != expected[i])
-    lhs = int(tallies.sum())
+    mismatches = tuple(i for i in range(n + 1) if tallies[i] != expected[i])
     return IdentityReport(
         n=n,
         total_paths=1 << length,
-        balanced_count=int(tallies[n]),
-        unbalanced_count=int(tallies[0]),
-        identity_lhs=lhs,
+        balanced_count=tallies[n],
+        unbalanced_count=tallies[0],
+        identity_lhs=sum(tallies),
         identity_rhs=4**n,
         bijection_ok=True,
         roundtrip_failures=(),
         elapsed=time.perf_counter() - start,
-        structural_tallies=tuple(int(t) for t in tallies),
+        structural_tallies=tuple(tallies),
         tally_mismatches=mismatches,
     )

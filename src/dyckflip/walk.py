@@ -1,6 +1,7 @@
 """The all-codes walk: each path's last vertex at height 0, a chunk of codes
-at a time, in rank order. It imports numpy and nothing of this package, so
-the structural identity check loads it and nothing else.
+at a time, in rank order, one byte per code. It imports no numpy and
+nothing of this package, so the structural identity check loads it and
+nothing else.
 
 A path's code has bit j set iff step j is Up. The bijection sweep, the
 structural identity and `enumerate_class` all read their classes off the
@@ -9,19 +10,19 @@ unbalanced iff it is its first.
 
 The walk splits each path into a prefix and a suffix, as the structural
 identity does, but after a fixed k steps: the code's low k bits and its
-high bits. A prefix table, built once a bit at a time, gives each low part
-its height and its last vertex at 0. A suffix row gives each high part, for
-every height in [-k, k] it may start from, the last vertex at which it is
-at 0. Cut at the multiples of 2^k, a chunk falls into runs of codes with
-one high part; a run's last vertices are the larger of a slice of the
-prefix table and that slice's heights looked up in the run's suffix row.
+high bits. A prefix's state is its height after its k steps and its last
+vertex at 0 among them. The prefix table holds one byte per low part, the
+index of its state, and is built a step at a time with two 256-entry
+`bytes.translate` tables. Each high part's suffix is walked once, which
+gives the last vertex at which it is at 0 from each start height, and fills
+a 256-byte table from a state to the whole path's last vertex at 0. Cut at
+the multiples of 2^k, a chunk falls into runs of codes with one high part,
+and a run's last vertices are its slice of the prefix table, translated.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Tuple
-
-import numpy as np
+from typing import Callable, Iterator, List, Tuple
 
 # codes per chunk of the all-codes walk; any size gives the same reports,
 # it bounds the memory of one chunk and of the rows it decodes, and its
@@ -29,63 +30,71 @@ import numpy as np
 _CHUNK = 1 << 16
 
 
-def _last_zero(length: int) -> Iterator[Tuple[int, np.ndarray]]:
+def _last_zero(length: int) -> Iterator[Tuple[int, bytes]]:
     """(lo, last) per chunk of all 2^length codes in rank order: last[r] is
     the last vertex of the path of code lo + r at height 0, 0 if it never
     returns."""
     last_of = _last_zero_tables(length)
     total = 1 << length
     for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        # length <= 30, so int8 holds every height and index
-        yield lo, last_of(lo, hi)
+        yield lo, last_of(lo, min(lo + _CHUNK, total))
 
 
-def _last_zero_tables(length: int) -> Callable[[int, int], np.ndarray]:
+def _low_bits(length: int) -> int:
+    """k, the number of steps in the prefix table. The chunk size fixes it,
+    so one chunk of the default size is one run of codes with the same high
+    part, and it is at least half the length, so that no chunk size,
+    however small, leaves more than 2^15 high parts. It is at most the
+    length, 30 at most, and the states of up to 30 steps fit in one byte."""
+    return min(length, max(_CHUNK.bit_length() - 1, (length + 1) // 2))
+
+
+def _last_zero_tables(length: int) -> Callable[[int, int], bytes]:
     """last_of(lo, hi): the last vertex at height 0 of the path of each code
-    in [lo, hi), from a table of the low k bits and one of the high bits."""
-    # a code is a high part over k low bits; the chunk size fixes k, so one
-    # chunk of the default size is one run of codes with the same high part,
-    # and k is at least half the length, so that no chunk size, however
-    # small, makes the suffix table longer than 2^15 rows
-    k = min(length, max(_CHUNK.bit_length() - 1, (length + 1) // 2))
-    # the prefix table: each low part's height after its k steps, as an
-    # index into a suffix row, and its last vertex at 0 among them; the
-    # indices are int16, a quarter of the size of intp, and take widens
-    # only one run's worth of them at a time
-    height, low_last = _returns(k, 0, 0)
-    row_index = np.add(height, k, dtype=np.int16)
-    low_last = low_last[:, 0]
-    # the suffix rows: per high part and start height v in [-k, k], the last
-    # vertex k + t at which its t-step suffix, started at v, is at 0; 0 if none
-    _, suffix = _returns(length - k, k, k)
+    in [lo, hi), from the prefix table of the low k bits and a table per
+    high part."""
+    k = _low_bits(length)
+    keys, states = _prefix(k)
+    heights, lows = zip(*states)
 
-    def last_of(lo: int, hi: int) -> np.ndarray:
-        last = np.empty(hi - lo, dtype=np.int8)
-        # runs of codes with one high part, cut at the multiples of 2^k
+    def table(high: int) -> bytes:
+        # the suffix started at height v is at 0 after its t-th step iff
+        # its walk from 0 is at -v there; a later vertex overwrites an earlier
+        ends = {}
+        g = 0
+        for vertex in range(k + 1, length + 1):
+            g += 1 if high & 1 else -1
+            high >>= 1
+            ends[-g] = vertex
+        # a return in the suffix comes after every vertex of the prefix;
+        # translate takes 256 entries, and no key is past the last state
+        return bytes(map(ends.get, heights, lows)).ljust(256, b"\0")
+
+    def last_of(lo: int, hi: int) -> bytes:
+        # runs of codes with one high part, cut at the multiples of 2^k;
+        # the slice of a whole run is the prefix table itself, not a copy
         cuts = [lo, *range(((lo >> k) + 1) << k, hi, 1 << k), hi]
+        runs = []
         for a, b in zip(cuts, cuts[1:]):
             base = a >> k << k
-            low = slice(a - base, b - base)
-            # a return in the suffix comes after every vertex of the low part
-            np.maximum(low_last[low], suffix[a >> k].take(row_index[low]), out=last[a - lo : b - lo])
-        return last
+            runs.append(keys[a - base : b - base].translate(table(a >> k)))
+        return b"".join(runs)
 
     return last_of
 
 
-def _returns(steps: int, width: int, offset: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(height, table) for every code of the given number of steps: its end
-    height and, per start height v in [-width, width], the last vertex
-    offset + t at which the path started at v is at height 0, 0 if none."""
-    h = np.zeros(1, dtype=np.int8)
-    table = np.zeros((1, 2 * width + 1), dtype=np.int8)
-    for t in range(steps):
-        # the codes of t + 1 bits: those of t bits with step t + 1 down, then
+def _prefix(k: int) -> Tuple[bytes, List[Tuple[int, int]]]:
+    """(keys, states) of the codes of k steps: keys[code] is the index in
+    states of the pair (height after the k steps, last vertex at 0)."""
+    keys, states = b"\0", [(0, 0)]
+    for t in range(1, k + 1):
+        index = {}
+        down, up = bytearray(256), bytearray(256)
+        for s, (h, z) in enumerate(states):
+            for table, g in ((down, h - 1), (up, h + 1)):
+                table[s] = index.setdefault((g, t if g == 0 else z), len(index))
+        # the codes of t bits: those of t - 1 bits with step t down, then
         # the same with it up
-        h = np.concatenate([h - 1, h + 1])
-        table = np.concatenate([table, table])
-        # the vertex index only grows, so a later mark overwrites an earlier
-        seen = np.flatnonzero(np.abs(h) <= width)
-        table[seen, width - h[seen]] = offset + t + 1
-    return h, table
+        keys = keys.translate(down) + keys.translate(up)
+        states = list(index)
+    return keys, states

@@ -426,9 +426,10 @@ def long_up_unbalanced(draw):
 class TestLongPaths:
     @pytest.mark.parametrize("shape", ["peak", "level", "random"])
     def test_past_int16(self, shape):
-        # the images of U^40000 D^40000 and U^20000 (DU)^15000 D^20000 climb
-        # to 80,000 and 40,000, where int16 heights wrap, and the random
-        # path has 70,000 steps, more than int16 can count
+        # an image ends at twice its path's peak: U^40000 D^40000 and
+        # U^20000 (DU)^15000 D^20000 climb to 40,000 and 20,000, and a
+        # shuffled (UD)^35000 lifted by U^17000 ... D^17000 past 17,000, so
+        # each image climbs past 32,767, where int16 heights wrap
         if shape == "peak":
             steps = [1] * 40000 + [-1] * 40000
         elif shape == "level":
@@ -436,8 +437,10 @@ class TestLongPaths:
         else:
             steps = [1, -1] * 35000
             random.Random(0).shuffle(steps)
+            steps = [1] * 17000 + steps + [-1] * 17000
         p = LatticePath(tuple(steps))
         image, _ = phi(p)
+        assert image.end_height > 32767
         assert classify(image) in (PathClass.UP_UNBALANCED, PathClass.DOWN_UNBALANCED)
         assert phi_inverse(image)[0] == p
         if shape == "level":

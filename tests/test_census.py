@@ -111,11 +111,11 @@ class TestLastZeroWalk:
         for chunk in (7, 8, 40, 1 << 16):
             monkeypatch.setattr(walk, "_CHUNK", chunk)
             chunks = list(walk._last_zero(length))
-            assert all(last.dtype == np.int8 for _, last in chunks)
+            assert all(type(last) is bytes for _, last in chunks)
             assert [(lo, len(last)) for lo, last in chunks] == [
                 (lo, min(chunk, (1 << length) - lo)) for lo in range(0, 1 << length, chunk)
             ]
-            assert np.concatenate([last for _, last in chunks]).tolist() == expected
+            assert [v for _, last in chunks for v in last] == expected
 
     def test_chunk_lives_with_the_walk(self):
         # a stale patch of census._CHUNK then raises, where it would
@@ -131,10 +131,27 @@ class TestLastZeroWalk:
         last_of = walk._last_zero_tables(length)
         codes = [0, (1 << length) - 1, *rng.integers(0, 1 << length, 300).tolist()]
         for code in codes:
-            assert last_of(code, code + 1).tolist() == [last_zero_touch(unrank(length, code))]
+            assert list(last_of(code, code + 1)) == [last_zero_touch(unrank(length, code))]
         for run_end in rng.integers(1, 1 << (length - 16), 5).tolist():
             lo, hi = (run_end << 16) - 40, (run_end << 16) + 40
-            assert last_of(lo, hi).tolist() == [last_zero_touch(unrank(length, c)) for c in range(lo, hi)]
+            assert list(last_of(lo, hi)) == [last_zero_touch(unrank(length, c)) for c in range(lo, hi)]
+
+    def test_prefix_states_fit_one_byte(self, monkeypatch):
+        # a state's index is a byte of the prefix table and of the step
+        # tables, which translate indexes by byte; k is at most the length,
+        # whatever the chunk size, and the walk's lengths go to 30
+        for chunk in (1, 7, 8, 40, 1 << 16, 1 << 40):
+            monkeypatch.setattr(walk, "_CHUNK", chunk)
+            assert all(walk._low_bits(length) <= length for length in range(31))
+        # the states after t steps: (height, last vertex at 0)
+        states = [(0, 0)]
+        for t in range(1, 31):
+            states = sorted({(h + step, t if h + step == 0 else z) for h, z in states for step in (-1, 1)})
+            assert len(states) <= 256
+            if t <= 16:
+                keys, listed = walk._prefix(t)
+                assert sorted(listed) == states and len(set(keys)) == len(states)
+        assert len(states) == 241
 
 
 class TestEnumerateClass:
@@ -384,11 +401,10 @@ class TestVerifyIdentity:
         assert len(set(reports)) == 1
 
     def test_structural_peak_memory(self):
-        # at n = 12 the peak is one chunk of 2^16 codes: its int8 last
-        # vertices, the int8 halves bincount reads and bincount's intp copy
-        # of them (512 KB), beside the walk's prefix table and int16 row
-        # indices (192 KB); an int32 array of the chunk's codes (256 KB)
-        # would take it past 1 MiB
+        # at n = 12 the peak is a few buffers of one byte per code of a
+        # chunk of 2^16: the walk's prefix table and one chunk of last
+        # vertices, 64 KB each; an int32 array of the chunk's codes
+        # (256 KB) would take it past 512 KiB
         verify_identity(1, "structural")  # imports outside the trace
         tracemalloc.start()
         try:
@@ -396,7 +412,7 @@ class TestVerifyIdentity:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1 << 20, peak
+        assert peak < 512 << 10, peak
 
     def test_identity_lhs_matches_brute_sum(self):
         # the central binomials off one pass down Pascal's triangle, as pascal builds it
