@@ -13,8 +13,8 @@ fields. The two share their verdict and text forms through `_Report`. This
 module imports neither numpy nor `dataclasses`, and neither mode loads
 them: the structural branch imports the all-codes walk of `walk`, which
 imports no numpy, when it first runs, and nothing else of the package. It
-counts each chunk's bytes of last vertices, one per path, with
-`bytes.count`.
+tallies the last vertices a run of codes at a time: each prefix state adds
+its number of codes to the vertex that the run's table gives it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Iterator, Literal, Optional, Tuple
 from .errors import RangeError
 
 MAX_BIJECTION_N = 12
-MAX_STRUCTURAL_N = 12
+MAX_STRUCTURAL_N = 15
 MAX_ARITHMETIC_N = 10_000
 
 IdentityMode = Literal["arithmetic", "structural"]
@@ -185,10 +185,11 @@ def verify_identity(n: int, mode: IdentityMode = "arithmetic") -> IdentityReport
     """Check the central-binomial convolution identity for one n.
 
     Arithmetic mode evaluates both sides with exact integers, each term of
-    the sum from the one before by their ratio. Structural mode reads the
-    last visit to height 0 of each of the 4^n paths off the one all-codes
-    walk, tallies them by prefix half-length and compares the tallies with
-    the binomial products.
+    the sum from the one before by their ratio. Structural mode tallies the
+    4^n paths by their last visit to height 0, off the tables of the
+    all-codes walk: it counts each prefix code's state and walks every
+    suffix once. It compares the tallies, by prefix half-length, with the
+    binomial products.
     """
     start = time.perf_counter()
     if mode == "arithmetic":
@@ -211,18 +212,13 @@ def verify_identity(n: int, mode: IdentityMode = "arithmetic") -> IdentityReport
     if not 0 <= n <= MAX_STRUCTURAL_N:
         raise RangeError(f"structural mode requires n in [0, {MAX_STRUCTURAL_N}], got {n}")
     # the walk loads on the first structural check only
-    from .walk import _last_zero
+    from .walk import _last_zero_tally
 
     length = 2 * n
-    tallies = [0] * (n + 1)
-    for _, last in _last_zero(length):
-        # one byte per path, its last vertex at 0: twice its prefix
-        # half-length; `in` stops at the first match and scans at memchr
-        # speed, so a vertex that no path of the chunk has costs far less
-        # than a count that finds none
-        for i in range(n + 1):
-            if 2 * i in last:
-                tallies[i] += last.count(2 * i)
+    # the paths by their last vertex at 0, twice their prefix half-length;
+    # none is at an odd vertex, and one counted there would leave the sum
+    # short of 4^n
+    tallies = _last_zero_tally(length)[::2]
 
     expected = [comb(2 * i, i) * comb(2 * (n - i), n - i) for i in range(n + 1)]
     mismatches = tuple(i for i in range(n + 1) if tallies[i] != expected[i])

@@ -3,10 +3,9 @@ at a time, in rank order, one byte per code. It imports no numpy and
 nothing of this package, so the structural identity check loads it and
 nothing else.
 
-A path's code has bit j set iff step j is Up. The bijection sweep, the
-structural identity and `enumerate_class` all read their classes off the
-walk: a path is balanced iff its last vertex at 0 is its last vertex,
-unbalanced iff it is its first.
+A path's code has bit j set iff step j is Up. The bijection sweep and
+`enumerate_class` read their classes off the walk: a path is balanced iff
+its last vertex at 0 is its last vertex, unbalanced iff it is its first.
 
 The walk splits each path into a prefix and a suffix, as the structural
 identity does, but after a fixed k steps: the code's low k bits and its
@@ -18,6 +17,14 @@ gives the last vertex at which it is at 0 from each start height, and fills
 a 256-byte table from a state to the whole path's last vertex at 0. Cut at
 the multiples of 2^k, a chunk falls into runs of codes with one high part,
 and a run's last vertices are its slice of the prefix table, translated.
+
+The structural identity needs only how many paths have each last vertex,
+and `_last_zero_tally` counts them from the same two tables without a byte
+per path: the prefix table's bytes are counted once per state, and each
+high part's table sends every state's count to its vertex. The prefix
+table translated by a table T has as many bytes v as it has bytes s with
+T[s] = v, so the tally is the count of the bytes that the per-code walk
+yields.
 """
 
 from __future__ import annotations
@@ -49,10 +56,10 @@ def _low_bits(length: int) -> int:
     return min(length, max(_CHUNK.bit_length() - 1, (length + 1) // 2))
 
 
-def _last_zero_tables(length: int) -> Callable[[int, int], bytes]:
-    """last_of(lo, hi): the last vertex at height 0 of the path of each code
-    in [lo, hi), from the prefix table of the low k bits and a table per
-    high part."""
+def _suffix_tables(length: int) -> Tuple[int, bytes, int, Callable[[int], bytes]]:
+    """(k, keys, size, table): the prefix table of the low k bits, whose
+    bytes index its `size` states, and table(high), the 256-byte table from
+    a state to the last vertex at 0 of the path of high part `high`."""
     k = _low_bits(length)
     keys, states = _prefix(k)
     heights, lows = zip(*states)
@@ -70,6 +77,15 @@ def _last_zero_tables(length: int) -> Callable[[int, int], bytes]:
         # translate takes 256 entries, and no key is past the last state
         return bytes(map(ends.get, heights, lows)).ljust(256, b"\0")
 
+    return k, keys, len(states), table
+
+
+def _last_zero_tables(length: int) -> Callable[[int, int], bytes]:
+    """last_of(lo, hi): the last vertex at height 0 of the path of each code
+    in [lo, hi), from the prefix table of the low k bits and a table per
+    high part."""
+    k, keys, _, table = _suffix_tables(length)
+
     def last_of(lo: int, hi: int) -> bytes:
         # runs of codes with one high part, cut at the multiples of 2^k;
         # the slice of a whole run is the prefix table itself, not a copy
@@ -81,6 +97,21 @@ def _last_zero_tables(length: int) -> Callable[[int, int], bytes]:
         return b"".join(runs)
 
     return last_of
+
+
+def _last_zero_tally(length: int) -> List[int]:
+    """tally[v]: the number of paths of `length` steps whose last vertex at
+    height 0 is v, 0 if they never return. It counts the bytes that
+    `_last_zero` yields, a run at a time: a run's bytes are the prefix
+    table translated by its high part's table, so each state adds its
+    number of prefix codes to the tally of the vertex its table gives."""
+    k, keys, size, table = _suffix_tables(length)
+    mult = [keys.count(s) for s in range(size)]
+    tally = [0] * (length + 1)
+    for high in range(1 << (length - k)):
+        for vertex, m in zip(table(high), mult):
+            tally[vertex] += m
+    return tally
 
 
 def _prefix(k: int) -> Tuple[bytes, List[Tuple[int, int]]]:

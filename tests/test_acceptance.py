@@ -27,7 +27,7 @@ from dyckflip import (
     verify_identity,
     walk,
 )
-from dyckflip.identity import identity_lhs
+from dyckflip.identity import MAX_STRUCTURAL_N, identity_lhs
 from dyckflip.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -76,13 +76,13 @@ def test_criterion_2_identity_arithmetic():
 
 def test_criterion_3_identity_structural():
     ok = True
-    for n in range(0, 9):
+    for n in range(0, MAX_STRUCTURAL_N + 1):
         r = verify_identity(n, "structural")
         ok &= r.tally_mismatches == () and r.identity_lhs == 1 << (2 * n)
         ok &= r.structural_tallies == tuple(
             comb(2 * i, i) * comb(2 * (n - i), n - i) for i in range(n + 1)
         )
-    report("3 identity structural n=0..8", ok)
+    report(f"3 identity structural n=0..{MAX_STRUCTURAL_N}", ok)
 
 
 def test_criterion_4_endpoint_law():

@@ -117,6 +117,28 @@ class TestLastZeroWalk:
             ]
             assert [v for _, last in chunks for v in last] == expected
 
+    @pytest.mark.parametrize("length", range(0, 23))
+    def test_tally_counts_the_walks_bytes(self, monkeypatch, length):
+        # the tally counts what the per-code walk yields, odd lengths
+        # included; chunk sizes 7, 8 and 40 change k, the number of low bits
+        for chunk in (1 << 16, 7, 8, 40) if length <= 16 else (1 << 16,):
+            monkeypatch.setattr(walk, "_CHUNK", chunk)
+            counts = Counter()
+            for _, last in walk._last_zero(length):
+                counts.update(last)
+            assert sum(counts.values()) == 1 << length
+            assert walk._last_zero_tally(length) == [counts[v] for v in range(length + 1)]
+
+    def test_tally_multiplicities_cover_the_prefix_codes(self, monkeypatch):
+        # the tally counts the prefix table's bytes once per state: every
+        # byte is the index of one of its states, so the counts sum to 2^k
+        for chunk in (7, 8, 40, 1 << 16):
+            monkeypatch.setattr(walk, "_CHUNK", chunk)
+            for length in range(31):
+                k, keys, size, _ = walk._suffix_tables(length)
+                assert len(keys) == 1 << k
+                assert sum(keys.count(s) for s in range(size)) == 1 << k
+
     def test_chunk_lives_with_the_walk(self):
         # a stale patch of census._CHUNK then raises, where it would
         # otherwise leave the walk's chunk size as it was
@@ -400,15 +422,19 @@ class TestVerifyIdentity:
             reports.append(verify_identity(6, "structural").to_kv())
         assert len(set(reports)) == 1
 
+    def test_structural_at_the_cap(self):
+        report = verify_identity(identity.MAX_STRUCTURAL_N, "structural")
+        assert report.ok and report.tally_mismatches == ()
+
     def test_structural_peak_memory(self):
-        # at n = 12 the peak is a few buffers of one byte per code of a
-        # chunk of 2^16: the walk's prefix table and one chunk of last
-        # vertices, 64 KB each; an int32 array of the chunk's codes
-        # (256 KB) would take it past 512 KiB
+        # at the top n the tally keeps no buffer of one byte per path, of
+        # which there are 2^30: the peak, about 170 KB, is the build of the
+        # walk's 64 KB prefix table, whose last doubling holds the 32 KB
+        # table of 15 steps, its two translations and their join
         verify_identity(1, "structural")  # imports outside the trace
         tracemalloc.start()
         try:
-            verify_identity(12, "structural")
+            verify_identity(identity.MAX_STRUCTURAL_N, "structural")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -447,7 +473,7 @@ class TestVerifyIdentity:
         with pytest.raises(RangeError):
             verify_identity(-1)
         with pytest.raises(RangeError):
-            verify_identity(13, "structural")
+            verify_identity(identity.MAX_STRUCTURAL_N + 1, "structural")
         with pytest.raises(RangeError):
             verify_identity(2, "bogus")
 
