@@ -168,11 +168,14 @@ def _run_decompose(args: argparse.Namespace) -> int:
             )
         )
         return 0
-    for up_len, seg in d.parts:
-        print(f"uprun={up_len}")
-        print(f"segment={seg.kind.value}:{format_path(seg.steps, args.alphabet)}")
-    peaks = ",".join(f"{i}:{h}" for i, h in zip(d.peak_indices, d.peak_heights))
-    print(f"peaks={peaks}")
+    # one write a part, through writelines, and not one write of the joined
+    # text: a write larger than a pipe holds returns short, with no error,
+    # when the reader leaves midway, and the joined text is one more copy
+    sys.stdout.writelines(
+        f"uprun={up_len}\nsegment={seg.kind.value}:{format_path(seg.steps, args.alphabet)}\n"
+        for up_len, seg in d.parts
+    )
+    sys.stdout.write("peaks=" + ",".join(f"{i}:{h}" for i, h in zip(d.peak_indices, d.peak_heights)) + "\n")
     return 0
 
 

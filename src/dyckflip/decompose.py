@@ -9,13 +9,26 @@ downstep, never rises above its start level, returns to it) and the final
 segment is "down-unbalanced" (same, but ends strictly below its start level,
 at absolute height 0). The peak in front of each segment is the leftmost
 highest vertex of the region it closes off.
+
+A path of k peaks decomposes into k parts, and the many-peak paths are
+where the paper's map does the most work. So `decompose` builds its parts
+in whole-list passes, with no Python loop per peak: the segments' bytes
+come from one split of the path's bytes, and the `Segment` named tuples
+and the parts from map and zip over the runs (a segment's one Python call
+is the `LatticePath._trusted` that wraps its bytes), with the garbage
+collector paused while they are built.
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Tuple
+from itertools import repeat
+from operator import sub
+from typing import List, NamedTuple, Tuple
+
+import numpy as np
 
 from .bijection import _first_passage, _upruns
 from .errors import (
@@ -32,9 +45,13 @@ class SegmentKind(Enum):
     DOWN_UNBALANCED = "DownUnbalanced"
 
 
-@dataclass(frozen=True)
-class Segment:
-    """A down-Dyck or down-unbalanced fragment, located in its parent path."""
+class Segment(NamedTuple):
+    """A down-Dyck or down-unbalanced fragment, located in its parent path.
+
+    A named tuple: immutable, built and hashed as a tuple, so it also
+    compares equal to the plain tuple (kind, steps, start_index) and
+    unpacks into it.
+    """
 
     kind: SegmentKind
     steps: LatticePath
@@ -61,8 +78,8 @@ def decompose(p: LatticePath) -> Decomposition:
     The upruns are the maximal runs of first-passage up-steps, the steps
     that reach a new strict maximum height, and their ends are the peaks:
     the runs of phi's kept steps, read off the same mask by the same
-    reader. Each segment is the slice of the path's bytes from its peak to
-    the start of the next run, the last one to the end.
+    reader. Each segment is the bytes of the path from its peak to the
+    start of the next run, the last one to the end.
     """
     if p.length == 0:
         raise EmptyPathError("cannot decompose the empty path")
@@ -72,14 +89,24 @@ def decompose(p: LatticePath) -> Decomposition:
     if p._buf.startswith(DOWN_BYTE):
         raise DownStartError("path starts with a downstep; reflect it first")
 
-    buf = p._buf
-    starts, ends, heights = _upruns(_first_passage(h))
+    kept = _first_passage(h)
+    starts, ends, heights = _upruns(kept)
+    # the segments are what is left between the runs of kept steps: blank
+    # those to NUL, and the non-empty pieces between NULs are the segments
+    pieces = filter(None, np.where(kept, 0, np.frombuffer(p._buf, np.int8)).tobytes().split(b"\0"))
     kinds = [SegmentKind.DOWN_DYCK] * (len(ends) - 1) + [SegmentKind.DOWN_UNBALANCED]
-    parts = [
-        (end - start, Segment(kind, LatticePath._trusted(buf[end:next_start]), end))
-        for start, end, next_start, kind in zip(starts, ends, [*starts[1:], len(buf)], kinds)
-    ]
-    return Decomposition(parts=tuple(parts), peak_indices=tuple(ends), peak_heights=tuple(heights))
+    segments = map(tuple.__new__, repeat(Segment), zip(kinds, map(LatticePath._trusted, pieces), ends))
+    # the collector finds no garbage here (a path, a segment and a part a
+    # peak, with no cycle among them), but every 700 of them would set off
+    # a pass, and its passes over the old generation grow with the parts
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        parts = tuple(zip(map(sub, ends, starts), segments))
+    finally:
+        if enabled:
+            gc.enable()
+    return Decomposition(parts=parts, peak_indices=tuple(ends), peak_heights=tuple(heights))
 
 
 def validate(d: Decomposition) -> List[str]:

@@ -48,6 +48,8 @@ def _alphabet(up: str, down: str) -> Tuple[Tuple[str, str], bytes, bytes]:
 
 
 _ALPHABETS = {"ud": _alphabet("U", "D"), "ne": _alphabet("N", "E")}
+# the default alphabet's tables, which parse and format read without a lookup
+_UD = _ALPHABETS["ud"]
 _FLIP = bytes.maketrans(UP_BYTE + DOWN_BYTE, DOWN_BYTE + UP_BYTE)
 # the binary digits of rank and unrank codes: Up is 1, Down is 0
 _BITS = bytes.maketrans(UP_BYTE + DOWN_BYTE, b"10")
@@ -141,7 +143,7 @@ def parse_path(text: str, alphabet: str = "ud") -> LatticePath:
 
     Surrounding whitespace is allowed; empty text yields the empty path.
     """
-    letters, table, _ = _tables(alphabet)
+    letters, table, _ = _UD if alphabet == "ud" else _tables(alphabet)
     stripped = text.strip()
     # no character outside ASCII has a step letter as its uppercase, so text
     # that does not encode holds a bad character, as does text with a byte
@@ -158,7 +160,7 @@ def parse_path(text: str, alphabet: str = "ud") -> LatticePath:
 
 def format_path(p: LatticePath, alphabet: str = "ud") -> str:
     """Canonical uppercase text for a path; inverse of parse_path."""
-    return p._buf.translate(_tables(alphabet)[2]).decode("ascii")
+    return p._buf.translate((_UD if alphabet == "ud" else _tables(alphabet))[2]).decode("ascii")
 
 
 def height_array(p: LatticePath) -> np.ndarray:

@@ -83,15 +83,20 @@ def render_ascii(spec: RenderSpec) -> str:
 def _multiples(n: int, cell: int) -> np.ndarray:
     """The decimal digits of 0, cell, ..., (n - 1)·cell as ASCII, one column
     per value, right-aligned to the widest (row 0 holds the leading digits),
-    with NUL bytes for leading zeros."""
-    width = len(str((n - 1) * cell))
+    with NUL bytes for leading zeros. The values are int32 unless the last
+    one needs int64."""
+    last = (n - 1) * cell
+    width = len(str(last))
     digits = np.empty((width, n), np.uint8)
-    q = np.arange(0, n * cell, cell, dtype=np.int64)
+    q = np.arange(n, dtype=np.int32 if last < 2**31 else np.int64)
+    q *= cell
+    q10 = np.empty_like(q)
     for row in digits[::-1]:
         # floor division by a constant is much faster than remainder or divmod
-        q10 = q // 10
-        np.subtract(q, q10 * 10, out=row, casting="unsafe")
-        q = q10
+        np.floor_divide(q, 10, out=q10)
+        q -= q10 * 10
+        row[:] = q
+        q, q10 = q10, q
     digits += ord("0")
     # the values increase, so those below 10^e are the first ceil(10^e / cell)
     for k in range(width - 1):
@@ -121,20 +126,21 @@ def render_svg(spec: RenderSpec) -> str:
     def y(level: int) -> int:
         return (top - level) * cell
 
+    # the document's lines, each with its newline, joined once at the end
     parts: List[str] = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">'
+        f'viewBox="0 0 {width} {height}">\n'
     ]
     if spec.show_axes:
         parts.append(
             f'<line x1="0" y1="{y(0)}" x2="{p.length * cell}" y2="{y(0)}" '
-            'stroke="gray" stroke-width="1" />'
+            'stroke="gray" stroke-width="1" />\n'
         )
     if spec.trace is not None and spec.show_lines:
         for level in spec.trace.reflection_lines:
             parts.append(
                 f'<line x1="0" y1="{y(level)}" x2="{p.length * cell}" y2="{y(level)}" '
-                'stroke="red" stroke-width="1" stroke-dasharray="4 2" />'
+                'stroke="red" stroke-width="1" stroke-dasharray="4 2" />\n'
             )
     # one row per byte column of the "x,y " vertex fields, one column per vertex
     xs = _multiples(len(h), cell)
@@ -144,14 +150,15 @@ def render_svg(spec: RenderSpec) -> str:
     fields[len(xs)] = ord(",")
     fields[len(xs) + 1 : -1] = ys.take(top - h, axis=1)
     fields[-1] = ord(" ")
-    points = fields.T.tobytes().translate(None, b"\0")[:-1].decode("ascii")
-    parts.append(f'<polyline points="{points}" fill="none" stroke="black" stroke-width="2" />')
+    fields[-1, -1] = 0  # no space after the last vertex
+    points = fields.T.tobytes().translate(None, b"\0").decode("ascii")
+    parts += ['<polyline points="', points, '" fill="none" stroke="black" stroke-width="2" />\n']
     if spec.trace is not None:
         for tag, pts in (("B", spec.trace.b_points), ("G", spec.trace.g_points)):
             for k, (idx, level) in enumerate(pts, start=1):
                 cx = idx * cell
                 cy = y(level)
-                parts.append(f'<circle cx="{cx}" cy="{cy}" r="3" fill="blue" />')
-                parts.append(f'<text x="{cx + 4}" y="{cy - 4}" font-size="10">{tag}{k}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+                parts.append(f'<circle cx="{cx}" cy="{cy}" r="3" fill="blue" />\n')
+                parts.append(f'<text x="{cx + 4}" y="{cy - 4}" font-size="10">{tag}{k}</text>\n')
+    parts.append("</svg>\n")
+    return "".join(parts)

@@ -11,7 +11,9 @@ import pytest
 from dyckflip import cli
 from dyckflip.identity import MAX_ARITHMETIC_N, exact_int_str
 from dyckflip.cli import MAX_STDIN_CHARS, build_parser, main
+from dyckflip.path import format_path, parse_path
 from dyckflip.render import MAX_CELL_SIZE
+from peak_reference import reference_decompose
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).parent.parent / "src"
@@ -124,6 +126,22 @@ class TestStdinPiping:
         assert err.startswith("error: Parse: invalid character '\\udc") and err.endswith(f"(index {index})\n")
 
 
+class TestDecomposeText:
+    @pytest.mark.parametrize("alphabet", ["ud", "ne"])
+    @pytest.mark.parametrize("text", ["UD", "UUDUDD", "UUUDD" * 1000 + "D" * 1000, "UUD" * 4000 + "D" * 4000])
+    def test_lines_match_the_reference(self, capsys, alphabet, text):
+        p = parse_path(text)
+        d = reference_decompose(p)
+        expected = []
+        for up_len, seg in d.parts:
+            expected.append(f"uprun={up_len}")
+            expected.append(f"segment={seg.kind.value}:{format_path(seg.steps, alphabet)}")
+        expected.append("peaks=" + ",".join(f"{i}:{h}" for i, h in zip(d.peak_indices, d.peak_heights)))
+        code, out, err = run(capsys, "decompose", format_path(p, alphabet), "--alphabet", alphabet)
+        assert (code, err) == (0, "")
+        assert out == "\n".join(expected) + "\n"
+
+
 class TestStdinBound:
     def test_text_at_the_bound(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("UD" * (MAX_STDIN_CHARS // 2)))
@@ -145,21 +163,52 @@ class TestStdinBound:
         assert run(capsys, "invert", "-")[:2] == expected
 
 
+class ClosedPipe:
+    """A stdout whose reader has gone: every write raises."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def writelines(self, lines):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def read_one_line_then_close(argv, stdin=None):
+    """Run the command, read its first line and close the pipe: the first
+    line, the exit code and stderr. The command reads all of stdin first."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dyckflip.cli", *argv],
+        stdin=subprocess.DEVNULL if stdin is None else subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        if stdin is not None:
+            proc.stdin.write(stdin.encode())
+            proc.stdin.close()
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        return first, proc.wait(timeout=60), err
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+
+
 class TestBrokenPipe:
     def test_write_to_closed_stdout_exits_quietly(self, capsys, monkeypatch, tmp_path):
-        class ClosedPipe:
-            def __init__(self, fd):
-                self.fd = fd
-
-            def write(self, text):
-                raise BrokenPipeError(32, "Broken pipe")
-
-            def flush(self):
-                pass
-
-            def fileno(self):
-                return self.fd
-
         with open(tmp_path / "stdout", "w") as fh:
             monkeypatch.setattr("sys.stdout", ClosedPipe(fh.fileno()))
             assert main(["enumerate", "--len", "4"]) == 1
@@ -167,24 +216,20 @@ class TestBrokenPipe:
             assert os.fstat(fh.fileno()).st_ino == os.stat(os.devnull).st_ino
         assert capsys.readouterr().err == ""
 
+    def test_decompose_to_closed_stdout_exits_quietly(self, capsys, monkeypatch, tmp_path):
+        with open(tmp_path / "stdout", "w") as fh:
+            monkeypatch.setattr("sys.stdout", ClosedPipe(fh.fileno()))
+            assert main(["decompose", "UUDUDD"]) == 1
+        assert capsys.readouterr().err == ""
+
     def test_reader_closing_the_pipe(self):
-        env = dict(os.environ, PYTHONPATH=str(SRC))
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "dyckflip.cli", "enumerate", "--len", "30"],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=env,
-        )
-        try:
-            assert proc.stdout.readline() == b"DDDDDDDDDDDDDDDDDDDDDDDDDDDDDD\n"
-            proc.stdout.close()
-            err = proc.stderr.read()
-            assert proc.wait(timeout=60) == 1
-        finally:
-            proc.kill()
-            proc.wait()
-            proc.stderr.close()
-        assert err == b""
+        first, code, err = read_one_line_then_close(["enumerate", "--len", "30"])
+        assert (first, code, err) == (b"DDDDDDDDDDDDDDDDDDDDDDDDDDDDDD\n", 1, b"")
+
+    def test_reader_closing_the_pipe_on_decompose(self):
+        # the text is about 1.8 MB, far more than a pipe holds
+        first, code, err = read_one_line_then_close(["decompose", "-"], "UUD" * 65536 + "D" * 65536)
+        assert (first, code, err) == (b"uprun=2\n", 1, b"")
 
 
 class TestJsonOutput:

@@ -105,6 +105,42 @@ class TestDecomposeErrors:
             decompose(LatticePath(()))
 
 
+class TestSegment:
+    def test_fields_by_name_and_position(self):
+        steps = parse_path("DUD")
+        seg = Segment(SegmentKind.DOWN_UNBALANCED, steps, 4)
+        assert seg == Segment(kind=SegmentKind.DOWN_UNBALANCED, steps=steps, start_index=4)
+        assert (seg.kind, seg.steps, seg.start_index) == (SegmentKind.DOWN_UNBALANCED, steps, 4)
+        assert Segment._fields == ("kind", "steps", "start_index")
+
+    def test_repr(self):
+        seg = Segment(SegmentKind.DOWN_DYCK, parse_path("DU"), 1)
+        assert repr(seg) == (
+            "Segment(kind=<SegmentKind.DOWN_DYCK: 'DownDyck'>, steps=LatticePath(steps=(-1, 1)), start_index=1)"
+        )
+
+    def test_equal_segments_hash_equal(self):
+        a = decompose(parse_path("UUDUDDUUUDDD")).parts
+        b = decompose(parse_path("UUDUDDUUUDDD")).parts
+        assert a == b
+        assert [hash(seg) for _, seg in a] == [hash(seg) for _, seg in b]
+        assert len({seg for _, seg in a + b}) == len(a)
+
+    def test_assignment_raises(self):
+        seg = Segment(SegmentKind.DOWN_DYCK, parse_path("DU"), 1)
+        for name, value in (("kind", SegmentKind.DOWN_UNBALANCED), ("start_index", 2), ("other", 0)):
+            with pytest.raises(AttributeError):
+                setattr(seg, name, value)
+        assert seg == Segment(SegmentKind.DOWN_DYCK, parse_path("DU"), 1)
+
+    def test_a_tuple_of_its_fields(self):
+        steps = parse_path("DD")
+        seg = Segment(SegmentKind.DOWN_UNBALANCED, steps, 2)
+        assert seg == (SegmentKind.DOWN_UNBALANCED, steps, 2)
+        kind, s, start = seg
+        assert (kind, s, start) == (SegmentKind.DOWN_UNBALANCED, steps, 2)
+
+
 class TestRecomposeAndValidate:
     def test_roundtrip_example(self):
         p = parse_path("UDUUDD")
@@ -196,3 +232,14 @@ class TestAgainstReference:
             paths += [p, reflect_all(p)]
         for p in paths:
             assert outcome(decompose, p) == outcome(reference_decompose, p)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 64, 4095, 4096])
+    @pytest.mark.parametrize("a", [1, 2, 3])
+    def test_many_peak_families(self, a, k):
+        # (U^a D^(a-1))^k D^k: k peaks for a > 1, each later uprun one step
+        # and each segment 2a - 2 steps, the last k + a - 1; a = 1 is U^k D^k
+        p = parse_path(("U" * a + "D" * (a - 1)) * k + "D" * k)
+        assert len(decompose(p).parts) == (k if a > 1 else 1)
+        # the down-start mirror is rejected by both
+        for q in (p, reflect_all(p)):
+            assert outcome(decompose, q) == outcome(reference_decompose, q)

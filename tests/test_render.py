@@ -164,3 +164,38 @@ class TestPolylineAgainstReference:
         many_peak = parse_path("UUD" * (length // 4) + "D" * (length // 4))
         for q in (p, reflect_all(p), many_peak):
             assert points_text(render_svg(RenderSpec(path=q, cell_size=cell))) == reference_points(q, cell)
+
+
+def fstring_points(p, cell):
+    """The polyline's points attribute, one f-string per vertex."""
+    h = p.heights
+    top = max(h)
+    return " ".join(f"{j * cell},{(top - level) * cell}" for j, level in enumerate(h))
+
+
+class TestPolylineNearInt32:
+    # the digits of the x and y values come from int32 unless the largest,
+    # (n - 1)·cell for n values, needs int64; the lengths put it just below
+    # and just above 2^31 where a path of at most 16,000 steps can reach it,
+    # and cells 1, 7 and 10 (whose crossing needs 2·10^8 steps) are checked
+    # on the same paths
+    @pytest.mark.parametrize(
+        "cell, lengths",
+        [
+            (1, [2147, 2148, 4095, 4096, 16000]),
+            (7, [2147, 2148, 4095, 4096, 16000]),
+            (10, [2147, 2148, 4095, 4096, 16000]),
+            (MAX_CELL_SIZE, [2146, 2147, 2148, 2149]),  # 2147·10^6 < 2^31 < 2148·10^6
+            (2**19, [4095, 4096]),  # 4096·2^19 = 2^31
+            (134217, [16000]),  # 16000·134217 = 2^31 - 11648
+            (134218, [16000]),  # 16000·134218 = 2^31 + 4352
+        ],
+    )
+    def test_largest_value_below_and_above_2_31(self, cell, lengths):
+        rng = random.Random(cell)
+        for length in lengths:
+            steps = [1, -1] * (length // 2) + [1] * (length % 2)
+            rng.shuffle(steps)
+            # a monotone path's heights span the length, so its y values do too
+            for q in (parse_path("U" * length), parse_path("D" * length), LatticePath(steps)):
+                assert points_text(render_svg(RenderSpec(path=q, cell_size=cell))) == fstring_points(q, cell)
