@@ -30,7 +30,7 @@ _HOMES = {
     **dict.fromkeys("IdentityReport binomial identity_lhs verify_identity".split(), "identity"),
     **dict.fromkeys(
         "LatticePath PathClass all_paths classify concat format_path max_height parse_path rank reflect_all "
-        "reflect_segment rightmost_crossing unrank".split(),
+        "unrank".split(),
         "path",
     ),
     **dict.fromkeys("RenderSpec render_ascii render_svg".split(), "render"),

@@ -192,10 +192,20 @@ def _print_report(report: _Report, as_json: bool) -> int:
     return 0 if report.ok else 1
 
 
+def _to_devnull(stream) -> None:
+    """Point a stream whose reader went away at devnull, so that nothing
+    more is written or raised on the way out."""
+    with open(os.devnull, "w") as null:
+        os.dup2(null.fileno(), stream.fileno())
+
+
 def _print_error(exc: Exception) -> int:
     """One `error: Kind: message` line on stderr; the exit code is 2."""
     kind = getattr(exc, "reason", type(exc).__name__.removesuffix("Error"))
-    print(f"error: {kind}: {exc}", file=sys.stderr)
+    try:
+        print(f"error: {kind}: {exc}", file=sys.stderr)
+    except BrokenPipeError:  # no reader (`dyckflip map UUU 2>&1 | true`)
+        _to_devnull(sys.stderr)
     return 2
 
 
@@ -265,11 +275,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # the reader went away (`dyckflip enumerate --len 30 | head`): point
-        # stdout at devnull so nothing is written or raised on the way out
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _to_devnull(sys.stdout)  # no reader (`dyckflip enumerate --len 30 | head`)
         return 1
     except (DomainError, ParseError, RangeError, ValidationError) as exc:
         return _print_error(exc)

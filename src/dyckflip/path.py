@@ -1,6 +1,6 @@
 """Step/path representation in rotated coordinates, plus the primitives
-everything else is built from: classification, reflections, concatenation,
-crossing search and rank/unrank enumeration support.
+everything else is built from: classification, reflection, concatenation
+and rank/unrank enumeration support.
 
 A path lives on the rotated lattice where the diagonal is horizontal: every
 step moves one unit right and one unit up (+1) or down (-1). The height
@@ -12,7 +12,7 @@ from __future__ import annotations
 import struct
 from enum import Enum
 from itertools import accumulate
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Iterator, Tuple
 
 import numpy as np
 
@@ -193,18 +193,6 @@ def reflect_all(p: LatticePath) -> LatticePath:
     return LatticePath._trusted(p._buf.translate(_FLIP))
 
 
-def reflect_segment(p: LatticePath, start: int, end: int) -> LatticePath:
-    """Flip the steps with positions in [start, end).
-
-    Geometrically this reflects the sub-path about the horizontal line
-    through vertex `start`; the suffix after `end` shifts rigidly.
-    """
-    if not 0 <= start <= end <= p.length:
-        raise IndexError(f"segment [{start}, {end}) out of bounds for length {p.length}")
-    buf = p._buf
-    return LatticePath._trusted(buf[:start] + buf[start:end].translate(_FLIP) + buf[end:])
-
-
 def concat(p1: LatticePath, p2: LatticePath) -> LatticePath:
     """Join two paths, the second starting where the first ends."""
     return LatticePath._trusted(p1._buf + p2._buf)
@@ -215,23 +203,6 @@ def max_height(p: LatticePath) -> Tuple[int, int]:
     h = p.heights
     m = max(h)  # at least h[0] = 0
     return m, h.index(m)
-
-
-def rightmost_crossing(p: LatticePath, level: int, search_end: int) -> Optional[int]:
-    """Largest interior index j < search_end where the path strictly crosses
-    the horizontal line at `level`.
-
-    A crossing has its two neighbouring vertices on opposite sides of the
-    line; touch points (both neighbours on the same side) are skipped, and
-    the endpoints 0 and search_end never count.
-    """
-    if not 0 <= search_end <= p.length:
-        raise IndexError(f"search_end {search_end} out of bounds for length {p.length}")
-    h = p.heights
-    for j in range(search_end - 1, 0, -1):
-        if h[j] == level and (h[j - 1] - level) * (h[j + 1] - level) < 0:
-            return j
-    return None
 
 
 def unrank(length: int, code: int) -> LatticePath:

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import random
 from itertools import combinations
 from math import comb
@@ -18,19 +20,19 @@ from dyckflip import (
     classify,
     compose_law_check,
     concat,
+    errors,
     format_path,
     max_height,
     parse_path,
     phi,
     phi_inverse,
     reflect_all,
-    reflect_segment,
-    rightmost_crossing,
     unrank,
     verify_roundtrip,
 )
 from dyckflip.bijection import phi_inverse_rows, phi_rows
-from peak_reference import reference_decompose
+import peak_reference
+from peak_reference import reference_decompose, reference_phi, reference_phi_inverse
 
 
 def paths_of_class(length, cls):
@@ -318,62 +320,6 @@ def _trace_fields(trace):
     return trace.b_points, trace.g_points, trace.reflection_lines, trace.conjugated
 
 
-def _conjugate_fields(fields):
-    b_points, g_points, lines, _ = fields
-    return (
-        tuple((i, -h) for i, h in b_points),
-        tuple((i, -h) for i, h in g_points),
-        tuple(-lvl for lvl in lines),
-        True,
-    )
-
-
-def reference_phi(p):
-    """phi as the paper builds it: decompose at the peaks, reflect every
-    segment about its peak line and recompose."""
-    if p.steps[0] == -1:
-        image, fields = reference_phi(reflect_all(p))
-        return reflect_all(image), _conjugate_fields(fields)
-    d = reference_decompose(p)
-    steps = []
-    seg_ends = []
-    for up_len, seg in d.parts:
-        steps.extend([1] * up_len)
-        steps.extend(-s for s in seg.steps.steps)
-        seg_ends.append(seg.start_index + seg.steps.length)
-    image = LatticePath(tuple(steps))
-    b_points = tuple(zip(d.peak_indices, d.peak_heights))[::-1]
-    g_points = tuple((j, image.heights[j]) for j in seg_ends)[::-1]
-    return image, (b_points, g_points, tuple(h for _, h in b_points), False)
-
-
-def reference_phi_inverse(p):
-    """phi_inverse by unwinding one reflection at a time, each at the
-    rightmost strict crossing of its line left of the current endpoint."""
-    if p.steps[0] == -1:
-        pre, fields = reference_phi_inverse(reflect_all(p))
-        return reflect_all(pre), _conjugate_fields(fields)
-    g = p.length
-    level = p.end_height // 2
-    b_points = []
-    g_points = [(g, p.end_height)]
-    lines = [level]
-    while True:
-        b = rightmost_crossing(p, level, g)
-        b_points.append((b, level))
-        p = reflect_segment(p, b, g)
-        j = b - 1
-        while j >= 0 and p.steps[j] == 1:
-            j -= 1
-        if j < 0:
-            break
-        g = j + 1
-        level = p.heights[g]
-        g_points.append((g, level))
-        lines.append(level)
-    return p, (tuple(b_points), tuple(g_points), tuple(lines), False)
-
-
 class TestAgainstPeakConstruction:
     @pytest.mark.parametrize("length", range(2, 17, 2))
     def test_phi_exhaustive(self, length):
@@ -397,6 +343,22 @@ class TestAgainstPeakConstruction:
                 assert _trace_fields(trace) == ref_fields
             count += 1
         assert 2 * count == comb(length, length // 2)
+
+    def test_oracle_imports_no_package_function(self):
+        # the oracle may name the types it compares against, the error
+        # classes and the byte constants; a function of the package would
+        # let a fault in it pass both sides of the tests above
+        allowed = {"LatticePath", "Segment", "SegmentKind", "Decomposition", "UP_BYTE", "DOWN_BYTE"}
+        allowed.update(n for n, v in vars(errors).items() if isinstance(v, type) and issubclass(v, Exception))
+        names = []
+        for node in ast.walk(ast.parse(inspect.getsource(peak_reference))):
+            if isinstance(node, ast.Import):
+                # a whole module, which is none of the allowed names
+                names += [a.name for a in node.names if a.name.split(".")[0] == "dyckflip"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dyckflip":
+                names += [a.name for a in node.names]
+        assert "LatticePath" in names
+        assert sorted(set(names) - allowed) == []
 
 
 # Each strategy draws one seed for a random.Random rather than drawing

