@@ -14,8 +14,13 @@ the Chung-Feller theorem), by two kernels over int8 step arrays of shape
 (rows, L): phi_rows and phi_inverse_rows, which phi and phi_inverse run on
 one row and the census on a chunk. Each also returns its mask of kept
 steps; the inverse's on a path is the forward map's on its preimage, so
-one trace builder serves both. phi_inverse_rows also marks its domain,
-the unbalanced rows; phi_inverse and the census read it, not classify.
+one trace builder serves both. Each also marks its domain, read off the
+scan it already makes: phi_rows the balanced rows, phi_inverse_rows the
+unbalanced ones. phi and phi_inverse check their input against that mask,
+not against classify, and then record the classes of their input and
+output on both paths (the output's by the paper's theorem: a balanced
+path maps to the unbalanced class of its first step, and back), so
+classify on either does no scan.
 
 Forward, first passage. An uprun climbs from the previous peak height, the
 highest point so far (the segment before it never rises above its start),
@@ -109,11 +114,14 @@ def _first_passage(h: np.ndarray) -> np.ndarray:
     return top[..., 1:] > top[..., :-1]
 
 
-def phi_rows(steps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """phi on every row of an int8 array of balanced step rows: the image
-    rows and the mask of kept steps."""
-    kept = _first_passage(_mirror_heights(steps))
-    return np.where(kept, steps, -steps), kept
+def phi_rows(steps: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """phi on every row of an int8 array of step rows: the images and the
+    mask of kept steps, junk off the domain, and the domain: rows that end
+    at height 0."""
+    h = _mirror_heights(steps)
+    balanced = h[:, -1] == 0  # before the scan overwrites h
+    kept = _first_passage(h)
+    return np.where(kept, steps, -steps), kept, balanced
 
 
 def phi_inverse_rows(steps: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -168,14 +176,28 @@ def _first_step(p: LatticePath) -> int:
     return DOWN if p._buf.startswith(DOWN_BYTE) else UP
 
 
+def _unbalanced(s: int) -> PathClass:
+    """The unbalanced class of a path whose first step is s."""
+    return PathClass.UP_UNBALANCED if s == UP else PathClass.DOWN_UNBALANCED
+
+
+def _classed(row: np.ndarray, cls: PathClass) -> LatticePath:
+    """The path of one kernel row, with the class the map gives it."""
+    q = LatticePath._trusted(row.tobytes())
+    q._cls = cls
+    return q
+
+
 def phi(p: LatticePath) -> Tuple[LatticePath, BijectionTrace]:
     """Map a balanced path to an unbalanced path of the same length."""
     if p.length == 0:
         return p, _empty_trace(Direction.FORWARD)
-    if p.end_height != 0:
+    image, kept, balanced = phi_rows(_row(p))
+    if not balanced[0]:
         raise NotBalancedError("input path must end at height 0")
-    image, kept = phi_rows(_row(p))
-    return LatticePath._trusted(image.tobytes()), _trace(kept[0], Direction.FORWARD, _first_step(p))
+    s = _first_step(p)
+    p._cls = PathClass.BALANCED
+    return _classed(image, _unbalanced(s)), _trace(kept[0], Direction.FORWARD, s)
 
 
 def phi_inverse(p: LatticePath) -> Tuple[LatticePath, BijectionTrace]:
@@ -187,7 +209,9 @@ def phi_inverse(p: LatticePath) -> Tuple[LatticePath, BijectionTrace]:
     pre, kept, unbalanced = phi_inverse_rows(_row(p))
     if not unbalanced[0]:
         raise NotUnbalancedError(f"input path is {classify(p).value}, expected unbalanced")
-    return LatticePath._trusted(pre.tobytes()), _trace(kept[0], Direction.INVERSE, _first_step(p))
+    s = _first_step(p)
+    p._cls = _unbalanced(s)
+    return _classed(pre, PathClass.BALANCED), _trace(kept[0], Direction.INVERSE, s)
 
 
 def verify_roundtrip(p: LatticePath) -> bool:

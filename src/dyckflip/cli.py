@@ -179,6 +179,25 @@ def _run_decompose(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_whole(text: str) -> None:
+    """Write a whole document to stdout, or raise BrokenPipeError.
+
+    A write larger than a pipe holds returns short, with no error, when the
+    reader leaves midway, and the text layer drops the rest unseen. So the
+    bytes go to the binary layer in a loop on the count each write took:
+    after a short write, the next one meets the closed pipe.
+    """
+    out = sys.stdout
+    out.flush()
+    buffer = getattr(out, "buffer", None)
+    if buffer is None:  # a text-only stream, such as io.StringIO
+        out.write(text)
+        return
+    data = memoryview(text.encode(out.encoding, out.errors))
+    while data:
+        data = data[buffer.write(data) :]
+
+
 def _print_report(report: _Report, as_json: bool) -> int:
     from .identity import exact_int_str
 
@@ -188,7 +207,7 @@ def _print_report(report: _Report, as_json: bool) -> int:
         with exact_int_str():
             print(json.dumps(report.to_json_dict()))
     else:
-        sys.stdout.write(report.to_kv())
+        _write_whole(report.to_kv())
     return 0 if report.ok else 1
 
 
@@ -223,7 +242,7 @@ def _run_render(args: argparse.Namespace) -> int:
     if args.svg is not None:
         doc = render_svg(spec)
         if args.svg == "-":
-            sys.stdout.write(doc)
+            _write_whole(doc)
         else:
             try:
                 fh = open(args.svg, "w", encoding="utf-8")
@@ -232,7 +251,7 @@ def _run_render(args: argparse.Namespace) -> int:
             with fh:
                 fh.write(doc)
     else:
-        sys.stdout.write(render_ascii(spec))
+        _write_whole(render_ascii(spec))
     return 0
 
 

@@ -67,9 +67,12 @@ class LatticePath:
     """An immutable sequence of +1/-1 steps with a derived height profile.
 
     The steps are held as one bytes object, `_buf`, of int8 +1 and -1
-    (UP_BYTE and DOWN_BYTE), and nothing else; `steps` and `heights` are
-    tuples of Python ints built from it on each use. Equality, hashing and
-    repr follow the steps.
+    (UP_BYTE and DOWN_BYTE); `steps` and `heights` are tuples of Python
+    ints built from it on each use. The one other slot, `_cls`, memoises
+    the path's PathClass: no constructor sets it, `classify` fills it on
+    its first scan, and phi and phi_inverse fill it on their input and
+    output, whose classes they have established. Equality, hashing, repr
+    and pickling follow the steps alone.
 
     `LatticePath(steps)` converts every step with int() and rejects any that
     is not +1 or -1. `LatticePath._trusted(buf)` stores its argument
@@ -80,7 +83,7 @@ class LatticePath:
     slices, translations and joins of the buffers of existing paths.
     """
 
-    __slots__ = ("_buf",)
+    __slots__ = ("_buf", "_cls")
 
     def __init__(self, steps: Iterable[int]) -> None:
         cleaned = tuple(map(int, steps))
@@ -131,6 +134,10 @@ class LatticePath:
     def __hash__(self) -> int:
         return hash(self._buf)
 
+    def __reduce__(self) -> tuple:
+        # a copy or an unpickled path keeps the steps, not the class memo
+        return LatticePath._trusted, (self._buf,)
+
     def __repr__(self) -> str:
         return f"LatticePath(steps={self.steps!r})"
 
@@ -178,8 +185,17 @@ def classify(p: LatticePath) -> PathClass:
     the start. With unit steps, such a path keeps its first step's sign, so
     one reduction of the int32 heights after the start decides the rest:
     their minimum is above 0 for UpUnbalanced, their maximum below 0 for
-    DownUnbalanced.
+    DownUnbalanced. The class is memoised on p, so a path is scanned at
+    most once.
     """
+    try:
+        return p._cls
+    except AttributeError:
+        p._cls = cls = _scan_class(p)
+        return cls
+
+
+def _scan_class(p: LatticePath) -> PathClass:
     if p.end_height == 0:
         return PathClass.BALANCED
     h = height_array(p)[1:]

@@ -224,7 +224,7 @@ class TestInvariants:
             return np.array([p.steps for p in paths], dtype=np.int8).reshape(len(paths), length)
 
         balanced = list(paths_of_class(length, PathClass.BALANCED))
-        images, kept = phi_rows(rows(balanced))
+        images, kept, _ = phi_rows(rows(balanced))
         assert [tuple(r) for r in images.tolist()] == [phi(p)[0].steps for p in balanced]
         # the inverse keeps the steps the forward map kept, which the trace needs
         pre, pre_kept, _ = phi_inverse_rows(images)
@@ -431,3 +431,76 @@ class TestLongPaths:
             assert classify(pre) is PathClass.BALANCED
             assert pre.steps[0] == p.steps[0]
             assert phi(pre)[0] == p
+
+
+def fresh_class(p):
+    """The class of p as a scan finds it, on a copy that holds no memo."""
+    return classify(LatticePath._trusted(bytes(p._buf)))
+
+
+def assert_handover(p):
+    """Run phi and phi_inverse, each on its own copy of p with no class
+    memo. A map that succeeds leaves both classes on its input and output,
+    each the one a scan finds; a map that raises leaves the input's class
+    to the scan."""
+    want = fresh_class(p)
+    for f in (phi, phi_inverse):
+        q = LatticePath._trusted(p._buf)
+        try:
+            out = f(q)[0]
+        except (NotBalancedError, NotUnbalancedError, OddLengthError):
+            assert classify(q) is want
+            continue
+        want_out = fresh_class(out)
+        if q.length:
+            # read off the memos themselves: an unset one raises, so
+            # classify on either path does no scan
+            assert (q._cls, out._cls) == (want, want_out)
+        assert (classify(q), classify(out)) == (want, want_out)
+
+
+class TestClassHandover:
+    # phi and phi_inverse record the classes of their input and output;
+    # a fresh classify on a copy is the reference
+
+    @pytest.mark.parametrize("length", range(0, 17, 2))
+    def test_phi_rows_marks_balanced_rows(self, length):
+        paths = [unrank(length, code) for code in range(1 << length)]
+        rows = np.frombuffer(b"".join(p._buf for p in paths), np.int8).reshape(len(paths), length)
+        assert phi_rows(rows)[2].tolist() == [p.end_height == 0 for p in paths]
+
+    @pytest.mark.parametrize("length", [*range(0, 15, 2), *range(1, 12, 2)])
+    def test_every_code(self, length):
+        for code in range(1 << length):
+            assert_handover(unrank(length, code))
+
+    def test_both_domains_at_16(self):
+        # every path of length 16 that one of the maps accepts, and that
+        # the other rejects
+        for p in all_balanced(16):
+            assert_handover(p)
+        for q in all_up_unbalanced(16):
+            assert_handover(q)
+            assert_handover(reflect_all(q))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 1000, 4000])
+    def test_many_peak_family(self, k):
+        # (UUD)^k D^k, its image and their mirrors: up to 16,000 steps
+        p = parse_path("UUD" * k + "D" * k)
+        image = phi(p)[0]
+        for q in (p, image, reflect_all(p), reflect_all(image)):
+            assert_handover(q)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 8000), st.integers(0, 2**64 - 1))
+    def test_long_paths(self, n, seed):
+        # a balanced path of up to 16,000 steps, its image, their mirrors,
+        # and a walk of the same length, which is most often Other
+        rng = random.Random(seed)
+        steps = [1] * n + [-1] * n
+        rng.shuffle(steps)
+        p = LatticePath(steps)
+        image = phi(p)[0]
+        walk = LatticePath(rng.choice((1, -1)) for _ in steps)
+        for q in (p, image, reflect_all(p), reflect_all(image), walk, LatticePath(steps[1:])):
+            assert_handover(q)

@@ -182,6 +182,35 @@ class ClosedPipe:
         return self.fd
 
 
+class HalfWrite:
+    """The binary layer of a pipe whose reader leaves midway through a
+    write: the first write takes half the bytes, with no error, and every
+    later one raises. `sizes` holds the size of each write."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def write(self, data):
+        self.sizes.append(len(data))
+        if len(self.sizes) > 1:
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(data) // 2
+
+
+class ShortPipe(ClosedPipe):
+    """A stdout over HalfWrite whose text layer, like io.TextIOWrapper,
+    drops the count that its binary layer returns."""
+
+    encoding, errors = "utf-8", "strict"
+
+    def __init__(self, fd):
+        super().__init__(fd)
+        self.buffer = HalfWrite()
+
+    def write(self, text):
+        self.buffer.write(text.encode())
+
+
 def read_one_line_then_close(argv, stdin=None):
     """Run the command, read its first line and close the pipe: the first
     line, the exit code and stderr. The command reads all of stdin first."""
@@ -237,6 +266,27 @@ class TestBrokenPipe:
         # the text is about 1.8 MB, far more than a pipe holds
         first, code, err = read_one_line_then_close(["decompose", "-"], "UUD" * 65536 + "D" * 65536)
         assert (first, code, err) == (b"uprun=2\n", 1, b"")
+
+    def test_reader_closing_the_pipe_on_render(self):
+        # the document is about 0.9 MB, written at once: the write returns
+        # short when the reader leaves, and the next write meets the closed pipe
+        first, code, err = read_one_line_then_close(["render", "-", "--svg", "-"], "UD" * 50000)
+        head = b'<svg xmlns="http://www.w3.org/2000/svg" width="1000000" height="10" viewBox="0 0 1000000 10">\n'
+        assert (first, code, err) == (head, 1, b"")
+
+    @pytest.mark.parametrize(
+        "argv", [["render", "UUDD", "--svg", "-"], ["render", "UUDD"], ["verify", "identity", "--n", "3"]]
+    )
+    def test_short_write_is_followed_to_the_closed_pipe(self, capsys, monkeypatch, tmp_path, argv):
+        # the rest of the document is written again after a short write,
+        # and that write meets the closed pipe
+        with open(tmp_path / "stdout", "w") as fh:
+            pipe = ShortPipe(fh.fileno())
+            monkeypatch.setattr("sys.stdout", pipe)
+            assert main(argv) == 1
+        n = pipe.buffer.sizes[0]
+        assert pipe.buffer.sizes == [n, n - n // 2]
+        assert capsys.readouterr().err == ""
 
 
 class TestJsonOutput:

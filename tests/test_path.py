@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from array import array
 
@@ -192,6 +194,25 @@ class TestClassify:
         }
         cls = classify(p)
         assert classify(reflect_all(p)) is swap.get(cls, cls)
+
+    def test_memo(self):
+        # no constructor sets the class; classify scans once and keeps it
+        for p in (LatticePath((1, 1, -1, 1)), parse_path("UUDU"), LatticePath._trusted(b"\x01\x01\xff\x01")):
+            assert not hasattr(p, "_cls")
+            assert classify(p) is PathClass.UP_UNBALANCED
+            assert p._cls is PathClass.UP_UNBALANCED
+
+    def test_memo_is_not_state(self):
+        # equality, hashing, repr, copies and pickles follow the steps alone
+        p = parse_path("UDDU")
+        image = phi(p)[0]
+        for q in (p, image, LatticePath(())):
+            cls = classify(q)
+            for r in (copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
+                assert r == q and hash(r) == hash(q) and repr(r) == repr(q)
+                assert not hasattr(r, "_cls")
+                assert classify(r) is cls
+        assert pickle.dumps(p) == pickle.dumps(parse_path("UDDU"))
 
 
 class TestReflections:
