@@ -6,7 +6,9 @@ Paths arrive as an argument or via stdin when the argument is "-", so
 
 Exit codes: 0 success, 1 verification failure or stdout closed early (as
 Python itself exits on a broken pipe), 2 usage or domain error, or path
-text on stdin longer than MAX_STDIN_CHARS.
+text on stdin longer than MAX_STDIN_CHARS. Every byte of stdout leaves
+through `_write`, so a reader that closes the pipe early gives 1 on every
+command.
 
 This module imports only `errors` and the standard library. Each command
 imports the kernels it runs when it runs, so `--help`, usage errors and
@@ -19,12 +21,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING, List, Optional
+from itertools import islice
+from typing import TYPE_CHECKING, Iterable, List, Optional
 
 from .errors import MAX_CELL_SIZE, DomainError, ParseError, RangeError, ValidationError
 
 if TYPE_CHECKING:
-    from .identity import _Report
     from .path import LatticePath
 
 # path text read from stdin, surrounding whitespace included: 2^20
@@ -64,11 +66,14 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = add_path_cmd(name, help_text)
         cmd.add_argument("--json", action="store_true", dest="as_json")
         cmd.add_argument("--trace", action="store_true")
+        cmd.set_defaults(run=_run_map)
 
     cmd = add_path_cmd("decompose", "show the peak decomposition of a balanced path")
     cmd.add_argument("--json", action="store_true", dest="as_json")
+    cmd.set_defaults(run=_run_decompose)
 
     verify = sub.add_parser("verify", help="exhaustive verification runs")
+    verify.set_defaults(run=_run_verify)
     vsub = verify.add_subparsers(dest="target", required=True)
     vb = vsub.add_parser("bijection", help="exhaustive bijectivity sweep")
     vb.add_argument("--n", type=int, required=True)
@@ -82,6 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--len", type=int, required=True, dest="length")
     enum.add_argument("--class", choices=sorted(_CLASS_FILTERS), default="all", dest="cls")
     enum.add_argument("--alphabet", choices=("ud", "ne"), default="ud")
+    enum.set_defaults(run=_run_enumerate)
 
     rend = add_path_cmd("render", "draw a path as ASCII art or SVG")
     rend.add_argument("--svg", metavar="FILE", help='write SVG to FILE ("-" for stdout)')
@@ -90,6 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     rend.add_argument("--trace", choices=("forward", "inverse"), default=None)
     rend.add_argument("--axes", action="store_true")
+    rend.set_defaults(run=_run_render)
 
     return parser
 
@@ -119,24 +126,50 @@ def _trace_fields(p, image, trace, alphabet: str) -> dict:
     }
 
 
-def _run_map(args: argparse.Namespace, inverse: bool) -> int:
+def _write(chunks: Iterable[str]) -> None:
+    """Write text to stdout, or raise BrokenPipeError.
+
+    The chunks are joined 1024 at a time, so that a long run of short lines
+    costs one encode and one write a batch. A write larger than a pipe holds
+    returns short, with no error, when the reader leaves midway, and the
+    text layer drops the rest unseen. So the bytes go to the binary layer in
+    a loop on the count each write took: after a short write, the next one
+    meets the closed pipe.
+    """
+    out = sys.stdout
+    out.flush()
+    buffer = getattr(out, "buffer", None)
+    if buffer is None:  # a text-only stream, such as io.StringIO
+        out.writelines(chunks)
+        return
+    chunks = iter(chunks)
+    while batch := list(islice(chunks, 1024)):
+        data = memoryview("".join(batch).encode(out.encoding, out.errors))
+        while data:
+            data = data[buffer.write(data) :]
+
+
+def _run_map(args: argparse.Namespace) -> int:
     from .bijection import phi, phi_inverse
     from .path import classify, format_path
 
     p = _read_path(args.path, args.alphabet)
-    image, trace = (phi_inverse if inverse else phi)(p)
+    image, trace = (phi_inverse if args.command == "invert" else phi)(p)
     if args.as_json:
         import json
 
-        print(json.dumps(_trace_fields(p, image, trace, args.alphabet)))
+        _write([json.dumps(_trace_fields(p, image, trace, args.alphabet)), "\n"])
         return 0
-    print(format_path(image, args.alphabet))
+    lines = [format_path(image, args.alphabet), "\n"]
     if args.trace:
-        print(f"class_in={classify(p).value}")
-        print(f"class_out={classify(image).value}")
-        print("b_points=" + ",".join(f"{i}:{h}" for i, h in trace.b_points))
-        print("g_points=" + ",".join(f"{i}:{h}" for i, h in trace.g_points))
-        print("lines=" + ",".join(map(str, trace.reflection_lines)))
+        lines += (
+            f"class_in={classify(p).value}\n",
+            f"class_out={classify(image).value}\n",
+            "b_points=" + ",".join(f"{i}:{h}" for i, h in trace.b_points) + "\n",
+            "g_points=" + ",".join(f"{i}:{h}" for i, h in trace.g_points) + "\n",
+            "lines=" + ",".join(map(str, trace.reflection_lines)) + "\n",
+        )
+    _write(lines)
     return 0
 
 
@@ -149,66 +182,60 @@ def _run_decompose(args: argparse.Namespace) -> int:
     if args.as_json:
         import json
 
-        print(
-            json.dumps(
-                {
-                    "input": format_path(p, args.alphabet),
-                    "parts": [
-                        {
-                            "uprun": up_len,
-                            "kind": seg.kind.value,
-                            "steps": format_path(seg.steps, args.alphabet),
-                            "start": seg.start_index,
-                        }
-                        for up_len, seg in d.parts
-                    ],
-                    "peak_indices": list(d.peak_indices),
-                    "peak_heights": list(d.peak_heights),
-                }
-            )
+        doc = json.dumps(
+            {
+                "input": format_path(p, args.alphabet),
+                "parts": [
+                    {
+                        "uprun": up_len,
+                        "kind": seg.kind.value,
+                        "steps": format_path(seg.steps, args.alphabet),
+                        "start": seg.start_index,
+                    }
+                    for up_len, seg in d.parts
+                ],
+                "peak_indices": list(d.peak_indices),
+                "peak_heights": list(d.peak_heights),
+            }
         )
+        _write([doc, "\n"])
         return 0
-    # one write a part, through writelines, and not one write of the joined
-    # text: a write larger than a pipe holds returns short, with no error,
-    # when the reader leaves midway, and the joined text is one more copy
-    sys.stdout.writelines(
+    _write(
         f"uprun={up_len}\nsegment={seg.kind.value}:{format_path(seg.steps, args.alphabet)}\n"
         for up_len, seg in d.parts
     )
-    sys.stdout.write("peaks=" + ",".join(f"{i}:{h}" for i, h in zip(d.peak_indices, d.peak_heights)) + "\n")
+    _write(["peaks=" + ",".join(f"{i}:{h}" for i, h in zip(d.peak_indices, d.peak_heights)) + "\n"])
     return 0
 
 
-def _write_whole(text: str) -> None:
-    """Write a whole document to stdout, or raise BrokenPipeError.
-
-    A write larger than a pipe holds returns short, with no error, when the
-    reader leaves midway, and the text layer drops the rest unseen. So the
-    bytes go to the binary layer in a loop on the count each write took:
-    after a short write, the next one meets the closed pipe.
-    """
-    out = sys.stdout
-    out.flush()
-    buffer = getattr(out, "buffer", None)
-    if buffer is None:  # a text-only stream, such as io.StringIO
-        out.write(text)
-        return
-    data = memoryview(text.encode(out.encoding, out.errors))
-    while data:
-        data = data[buffer.write(data) :]
-
-
-def _print_report(report: _Report, as_json: bool) -> int:
+def _run_verify(args: argparse.Namespace) -> int:
     from .identity import exact_int_str
 
-    if as_json:
+    if args.target == "bijection":
+        from .census import verify_bijection
+
+        report = verify_bijection(args.n)
+    else:
+        from .identity import verify_identity
+
+        report = verify_identity(args.n, mode=args.mode)
+    if args.as_json:
         import json
 
         with exact_int_str():
-            print(json.dumps(report.to_json_dict()))
+            _write([json.dumps(report.to_json_dict()), "\n"])
     else:
-        _write_whole(report.to_kv())
+        _write([report.to_kv()])
     return 0 if report.ok else 1
+
+
+def _run_enumerate(args: argparse.Namespace) -> int:
+    from .census import enumerate_class
+    from .path import PathClass, format_path
+
+    cls = _CLASS_FILTERS[args.cls]
+    _write(f"{format_path(p, args.alphabet)}\n" for p in enumerate_class(args.length, cls and PathClass[cls]))
+    return 0
 
 
 def _to_devnull(stream) -> None:
@@ -242,7 +269,7 @@ def _run_render(args: argparse.Namespace) -> int:
     if args.svg is not None:
         doc = render_svg(spec)
         if args.svg == "-":
-            _write_whole(doc)
+            _write([doc])
         else:
             try:
                 fh = open(args.svg, "w", encoding="utf-8")
@@ -251,45 +278,14 @@ def _run_render(args: argparse.Namespace) -> int:
             with fh:
                 fh.write(doc)
     else:
-        _write_whole(render_ascii(spec))
+        _write([render_ascii(spec)])
     return 0
 
 
-def _run(args: argparse.Namespace) -> int:
-    if args.command == "map":
-        return _run_map(args, inverse=False)
-    if args.command == "invert":
-        return _run_map(args, inverse=True)
-    if args.command == "decompose":
-        return _run_decompose(args)
-    if args.command == "verify":
-        if args.target == "bijection":
-            from .census import verify_bijection
-
-            report = verify_bijection(args.n)
-        else:
-            from .identity import verify_identity
-
-            report = verify_identity(args.n, mode=args.mode)
-        return _print_report(report, args.as_json)
-    if args.command == "enumerate":
-        from .census import enumerate_class
-        from .path import PathClass, format_path
-
-        cls = _CLASS_FILTERS[args.cls]
-        for p in enumerate_class(args.length, cls and PathClass[cls]):
-            print(format_path(p, args.alphabet))
-        return 0
-    if args.command == "render":
-        return _run_render(args)
-    raise AssertionError(f"unhandled command {args.command}")
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        code = _run(args)
+        code = args.run(args)
         # surface a closed pipe here rather than in the interpreter's final flush
         sys.stdout.flush()
         return code

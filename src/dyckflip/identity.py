@@ -7,7 +7,7 @@ term n-i, so it sums the lower half and doubles it. Structural mode splits
 every length-2n path at its last visit to height 0, which buckets the 4^n
 paths into exactly C(2i,i)*C(2n-2i,n-i) per prefix half-length i.
 
-Both checks return an `IdentityReport`, a plain class; the bijection sweep
+Both checks return an `IdentityReport`, a named tuple; the bijection sweep
 of `census` returns a `CensusReport`, a frozen dataclass with the same
 fields. The two share their verdict and text forms through `_Report`. This
 module imports neither numpy nor `dataclasses`, and neither mode loads
@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import sys
 import time
+from collections import namedtuple
 from contextlib import contextmanager
 from math import comb
-from typing import Iterator, Literal, Optional, Tuple
+from typing import Iterator, Literal
 
 from .errors import RangeError
 
@@ -86,59 +87,25 @@ class _Report:
             return "".join(f"{key}={_kv_text(value)}\n" for key, value in fields.items())
 
 
-class IdentityReport(_Report):
+class IdentityReport(
+    _Report,
+    namedtuple(
+        "IdentityReport",
+        "n total_paths balanced_count unbalanced_count identity_lhs identity_rhs bijection_ok "
+        "roundtrip_failures elapsed structural_tallies tally_mismatches",
+        defaults=(None, ()),
+    ),
+):
     """Exact counts and verdicts of `verify_identity` for one half-length n.
 
     structural_tallies is only populated by the structural check;
     tally_mismatches lists the prefix half-lengths whose bucket size
-    disagreed with the binomial product. A plain class, not a dataclass:
+    disagreed with the binomial product. A named tuple, not a dataclass:
     the arithmetic check then loads no `dataclasses`, and with it
     `inspect`, which would be most of its import.
     """
 
-    __slots__ = (
-        "n",
-        "total_paths",
-        "balanced_count",
-        "unbalanced_count",
-        "identity_lhs",
-        "identity_rhs",
-        "bijection_ok",
-        "roundtrip_failures",
-        "elapsed",
-        "structural_tallies",
-        "tally_mismatches",
-    )
-
-    def __init__(
-        self,
-        n: int,
-        total_paths: int,
-        balanced_count: int,
-        unbalanced_count: int,
-        identity_lhs: int,
-        identity_rhs: int,
-        bijection_ok: bool,
-        roundtrip_failures: Tuple[int, ...],
-        elapsed: float,
-        structural_tallies: Optional[Tuple[int, ...]] = None,
-        tally_mismatches: Tuple[int, ...] = (),
-    ) -> None:
-        self.n = n
-        self.total_paths = total_paths
-        self.balanced_count = balanced_count
-        self.unbalanced_count = unbalanced_count
-        self.identity_lhs = identity_lhs
-        self.identity_rhs = identity_rhs
-        self.bijection_ok = bijection_ok
-        self.roundtrip_failures = roundtrip_failures
-        self.elapsed = elapsed
-        self.structural_tallies = structural_tallies
-        self.tally_mismatches = tally_mismatches
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"IdentityReport({fields})"
+    __slots__ = ()
 
 
 def _kv_text(value: object) -> str:

@@ -1,0 +1,149 @@
+"""Mutation check: each mutant of the package must fail the tests named for it.
+
+Run from anywhere, with the standard library and pytest:
+
+    python tests/mutants.py
+
+A mutant is a file under src/dyckflip, a text that occurs in it exactly
+once, the text that replaces it, and the pytest node ids that must fail.
+The node ids first run on an unmutated copy of src/ and tests/, where they
+must pass. Then, for each mutant, the runner copies src/ and tests/ into a
+temporary directory (the tests find src/ relative to themselves), applies
+the mutant there and runs its node ids with -x; the mutant is killed if
+pytest reports a failed test (exit 1). A mutant that survives, or whose
+text no longer occurs exactly once, is an error, and the script exits 1:
+a change to the code it mutates must update its entry.
+
+The file is not named test_*.py, so the test suite does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import List, Optional, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (file under src/dyckflip, exact text, replacement, node ids that must fail)
+MUTANTS: List[Tuple[str, str, str, List[str]]] = [
+    (
+        # the inverse keeps the steps that stay at or above level M
+        "bijection.py",
+        "low[:, :-1] < low[:, -1:] // 2",
+        "low[:, :-1] <= low[:, -1:] // 2",
+        ["tests/test_bijection.py::TestAgainstPeakConstruction::test_phi_inverse_exhaustive"],
+    ),
+    (
+        # each run starts one step late
+        "bijection.py",
+        "(kept[1:] != kept[:-1]).nonzero()[0] + 1",
+        "(kept[1:] != kept[:-1]).nonzero()[0]",
+        ["tests/test_decompose.py::TestAgainstReference"],
+    ),
+    (
+        # empty pieces between adjacent peaks become parts
+        "decompose.py",
+        'pieces = filter(None, np.where(kept, 0, np.frombuffer(p._buf, np.int8)).tobytes().split(b"\\0"))',
+        'pieces = np.where(kept, 0, np.frombuffer(p._buf, np.int8)).tobytes().split(b"\\0")',
+        ["tests/test_decompose.py::TestAgainstReference::test_many_peak_families"],
+    ),
+    (
+        # the SVG digits stay int32 past 2^31
+        "render.py",
+        "np.int32 if last < 2**31 else np.int64",
+        "np.int32",
+        ["tests/test_render.py::TestPolylineNearInt32"],
+    ),
+    (
+        # each prefix state counts once, not once per prefix code
+        "walk.py",
+        "tally[vertex] += m",
+        "tally[vertex] += 1",
+        ["tests/test_census.py::TestLastZeroWalk::test_tally_counts_the_walks_bytes"],
+    ),
+    (
+        # a map's unbalanced side gets the other unbalanced class
+        "bijection.py",
+        "PathClass.UP_UNBALANCED if s == UP else PathClass.DOWN_UNBALANCED",
+        "PathClass.DOWN_UNBALANCED if s == UP else PathClass.UP_UNBALANCED",
+        ["tests/test_bijection.py::TestClassHandover::test_every_code"],
+    ),
+    (
+        # a rejected input of phi_inverse keeps a class it does not have
+        "bijection.py",
+        "    if not unbalanced[0]:\n"
+        '        raise NotUnbalancedError(f"input path is {classify(p).value}, expected unbalanced")\n'
+        "    s = _first_step(p)\n"
+        "    p._cls = _unbalanced(s)\n",
+        "    s = _first_step(p)\n"
+        "    p._cls = _unbalanced(s)\n"
+        "    if not unbalanced[0]:\n"
+        '        raise NotUnbalancedError(f"input path is {classify(p).value}, expected unbalanced")\n',
+        ["tests/test_bijection.py::TestClassHandover::test_every_code"],
+    ),
+    (
+        # a short write drops the rest of its bytes unseen
+        "cli.py",
+        "        while data:\n            data = data[buffer.write(data) :]\n",
+        "        buffer.write(data)\n",
+        ["tests/test_cli.py::TestBrokenPipe::test_short_write_is_followed_to_the_closed_pipe"],
+    ),
+]
+
+
+def copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy(ROOT / "pyproject.toml", dest)
+
+
+def pytest(cwd: Path, node_ids: List[str]) -> int:
+    env = dict(os.environ, PYTHONPATH=str(cwd / "src"))
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *node_ids]
+    return subprocess.run(argv, cwd=cwd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def check(mutant: Tuple[str, str, str, List[str]]) -> Optional[str]:
+    """Apply one mutant to a fresh copy and run its node ids: None if they
+    fail, else what went wrong."""
+    name, text, replacement, node_ids = mutant
+    with tempfile.TemporaryDirectory() as tmp:
+        copy_tree(Path(tmp))
+        path = Path(tmp, "src", "dyckflip", name)
+        source = path.read_text()
+        count = source.count(text)
+        if count != 1:
+            return f"its text occurs {count} times in {name}"
+        path.write_text(source.replace(text, replacement))
+        code = pytest(Path(tmp), node_ids)
+    if code == 1:
+        return None
+    return "survived" if code == 0 else f"pytest exited {code}"
+
+
+def main() -> int:
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        copy_tree(Path(tmp))
+        code = pytest(Path(tmp), sorted({node for *_, node_ids in MUTANTS for node in node_ids}))
+    if code != 0:
+        print(f"error: the named tests exit {code} on the unmutated code")
+        return 1
+    errors = 0
+    for i, mutant in enumerate(MUTANTS):
+        problem = check(mutant)
+        print(f"mutant {i} ({mutant[0]}): {problem or 'killed'}")
+        errors += problem is not None
+    print(f"{len(MUTANTS) - errors} of {len(MUTANTS)} mutants killed in {time.perf_counter() - start:.1f} s")
+    return 1 if errors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -404,6 +404,22 @@ class TestVerifyIdentity:
         assert type(report) is CensusReport
         assert not dataclasses.replace(report, roundtrip_failures=(3,)).ok
 
+    def test_report_is_immutable(self):
+        report = verify_identity(2, "arithmetic")
+        with pytest.raises(AttributeError):
+            report.n = 3
+        with pytest.raises(AttributeError):
+            report.extra = 1
+        assert report == report._replace(n=2) and report != report._replace(n=3)
+
+    def test_report_repr(self):
+        report = verify_identity(3, "structural")._replace(elapsed=0.5)
+        assert repr(report) == (
+            "IdentityReport(n=3, total_paths=64, balanced_count=20, unbalanced_count=20, "
+            "identity_lhs=64, identity_rhs=64, bijection_ok=True, roundtrip_failures=(), "
+            "elapsed=0.5, structural_tallies=(20, 12, 12, 20), tally_mismatches=())"
+        )
+
     @pytest.mark.parametrize("n", range(0, 7))
     def test_modes_agree(self, n):
         a = verify_identity(n, "arithmetic")

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from dyckflip import cli
+from dyckflip.bijection import phi
 from dyckflip.identity import MAX_ARITHMETIC_N, exact_int_str
 from dyckflip.cli import MAX_STDIN_CHARS, build_parser, main
 from dyckflip.path import format_path, parse_path
@@ -70,6 +71,13 @@ class TestExitCodes:
         code, _, err = run(capsys, "decompose", "DU")
         assert code == 2
         assert "DownStart" in err
+
+    @pytest.mark.parametrize("length", ["31", "-1"])
+    def test_enumerate_length_out_of_range_is_2(self, capsys, length):
+        # the range check runs when the writer takes the first path
+        code, out, err = run(capsys, "enumerate", "--len", length)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Range: ") and err.count("\n") == 1
 
     def test_verify_range_error_is_2(self, capsys):
         assert run(capsys, "verify", "bijection", "--n", "99")[0] == 2
@@ -274,8 +282,35 @@ class TestBrokenPipe:
         head = b'<svg xmlns="http://www.w3.org/2000/svg" width="1000000" height="10" viewBox="0 0 1000000 10">\n'
         assert (first, code, err) == (head, 1, b"")
 
+    def test_reader_taking_a_long_map_line(self):
+        # one line, about 0.26 MB, far more than a pipe holds: it arrives
+        # whole, and the command ends before the reader closes
+        text = "UUD" * 65536 + "D" * 65536
+        image = format_path(phi(parse_path(text))[0])
+        assert read_one_line_then_close(["map", "-"], text) == (f"{image}\n".encode(), 0, b"")
+
+    def test_reader_taking_a_long_decompose_json_line(self):
+        text = "UUD" * 65536 + "D" * 65536
+        first, code, err = read_one_line_then_close(["decompose", "-", "--json"], text)
+        assert (code, err, first[-1:]) == (0, b"", b"\n")
+        doc = json.loads(first)
+        assert doc["input"] == text and len(doc["parts"]) == 65536
+
     @pytest.mark.parametrize(
-        "argv", [["render", "UUDD", "--svg", "-"], ["render", "UUDD"], ["verify", "identity", "--n", "3"]]
+        "argv",
+        [
+            ["render", "UUDD", "--svg", "-"],
+            ["render", "UUDD"],
+            ["verify", "identity", "--n", "3"],
+            ["map", "UDUUDDUD"],
+            ["map", "UDUUDDUD", "--trace"],
+            ["map", "UDUUDDUD", "--json"],
+            ["invert", "UUUDUDUU"],
+            ["decompose", "UUDUDDUUDD"],
+            ["decompose", "UUDUDDUUDD", "--json"],
+            ["verify", "identity", "--n", "3", "--json"],
+            ["enumerate", "--len", "4"],
+        ],
     )
     def test_short_write_is_followed_to_the_closed_pipe(self, capsys, monkeypatch, tmp_path, argv):
         # the rest of the document is written again after a short write,
