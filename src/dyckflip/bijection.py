@@ -12,7 +12,7 @@ Up, and multiply every recorded height by s. Both directions are computed
 in closed form, one numpy scan each (the first-/last-passage view behind
 the Chung-Feller theorem), by two kernels over int8 step arrays of shape
 (rows, L): phi_rows and phi_inverse_rows, which phi and phi_inverse run on
-one row and the census on a chunk. Each also returns its mask of kept
+one row and the census on a run. Each also returns its mask of kept
 steps; the inverse's on a path is the forward map's on its preimage, so
 one trace builder serves both. Each also marks its domain, read off the
 scan it already makes: phi_rows the balanced rows, phi_inverse_rows the

@@ -11,13 +11,13 @@ inverse and the map is one-to-one; its domain mask makes every image
 unbalanced, and as many distinct images as there are unbalanced paths are
 all of them, so the counts prove that the map is onto.
 
-One walk over all codes, a chunk at a time, gives each path's last vertex
-at height 0 as one byte (`walk._last_zero`), and the bijection sweep and
-`enumerate_class` read their classes off an int8 view of the chunk's
-bytes: a path is balanced iff that is its last vertex, unbalanced iff its
-first. The bijection sweep decodes the chunk's balanced codes into int8
-step rows for the row kernels of `bijection`, forward and back, which phi
-and phi_inverse run on one row, and returns a `CensusReport`.
+One walk over all codes, a run of codes at a time, gives each path's last
+vertex at height 0 as one byte (`walk._last_zero`), and the bijection
+sweep and `enumerate_class` read their classes off an int8 view of the
+run's bytes: a path is balanced iff that is its last vertex, unbalanced
+iff its first. The bijection sweep decodes the run's balanced codes into
+int8 step rows for the row kernels of `bijection`, forward and back,
+which phi and phi_inverse run on one row, and returns a `CensusReport`.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def enumerate_class(length: int, cls: Optional[PathClass] = None) -> Iterator[La
             # the index of each class in PathClass: balanced, up, down, other
             kind = np.where(last == length, 0, np.where(last == 0, 2 - (codes & 1), 3))
             codes = codes[kind == list(PathClass).index(cls)]
-        # slices of a view, not of one copy of the chunk's rows, which would
+        # slices of a view, not of one copy of the run's rows, which would
         # hold both at once
         rows = memoryview(_rows(codes, length).ravel())
         for i in range(len(codes)):
@@ -113,7 +113,7 @@ def verify_bijection(n: int) -> CensusReport:
 
     One pass over the rank space reads each path's last visit to height 0
     and counts the balanced and the unbalanced paths. The balanced paths of
-    each chunk go through the forward kernel as one array of step rows, and
+    each run go through the forward kernel as one array of step rows, and
     their images through the inverse one. An image must have the shape of
     its input, be unbalanced by the inverse kernel's mask and map back to
     its path, or the path is listed in roundtrip_failures. The inverse works
@@ -149,7 +149,7 @@ def verify_bijection(n: int) -> CensusReport:
         pre, _, ok = phi_inverse_rows(image)
         ok &= (pre == rows).all(axis=1)
         failures += balanced[~ok].tolist()
-        del rows, image, pre, _  # before the next chunk builds its own
+        del rows, image, pre, _  # before the next run builds its own
 
     bijection_ok = not failures and balanced_count == unbalanced_count == comb(2 * n, n)
 

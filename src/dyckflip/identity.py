@@ -159,46 +159,37 @@ def verify_identity(n: int, mode: IdentityMode = "arithmetic") -> IdentityReport
     binomial products.
     """
     start = time.perf_counter()
+    tallies, mismatches = None, ()
     if mode == "arithmetic":
         if not 0 <= n <= MAX_ARITHMETIC_N:
             raise RangeError(f"arithmetic mode requires n in [0, {MAX_ARITHMETIC_N}], got {n}")
-        central = comb(2 * n, n)
-        return IdentityReport(
-            n=n,
-            total_paths=4**n,
-            balanced_count=central,
-            unbalanced_count=central,
-            identity_lhs=_convolution(n, central),
-            identity_rhs=4**n,
-            bijection_ok=True,
-            roundtrip_failures=(),
-            elapsed=time.perf_counter() - start,
-        )
-    if mode != "structural":
+        balanced = unbalanced = comb(2 * n, n)
+        lhs = _convolution(n, balanced)
+    elif mode != "structural":
         raise RangeError(f"unknown identity mode {mode!r}")
-    if not 0 <= n <= MAX_STRUCTURAL_N:
+    elif not 0 <= n <= MAX_STRUCTURAL_N:
         raise RangeError(f"structural mode requires n in [0, {MAX_STRUCTURAL_N}], got {n}")
-    # the walk loads on the first structural check only
-    from .walk import _last_zero_tally
+    else:
+        # the walk loads on the first structural check only
+        from .walk import _last_zero_tally
 
-    length = 2 * n
-    # the paths by their last vertex at 0, twice their prefix half-length;
-    # none is at an odd vertex, and one counted there would leave the sum
-    # short of 4^n
-    tallies = _last_zero_tally(length)[::2]
-
-    expected = [comb(2 * i, i) * comb(2 * (n - i), n - i) for i in range(n + 1)]
-    mismatches = tuple(i for i in range(n + 1) if tallies[i] != expected[i])
+        # the paths by their last vertex at 0, twice their prefix half-length;
+        # none is at an odd vertex, and one counted there would leave the sum
+        # short of 4^n
+        tallies = tuple(_last_zero_tally(2 * n)[::2])
+        expected = [comb(2 * i, i) * comb(2 * (n - i), n - i) for i in range(n + 1)]
+        mismatches = tuple(i for i in range(n + 1) if tallies[i] != expected[i])
+        balanced, unbalanced, lhs = tallies[n], tallies[0], sum(tallies)
     return IdentityReport(
         n=n,
-        total_paths=1 << length,
-        balanced_count=tallies[n],
-        unbalanced_count=tallies[0],
-        identity_lhs=sum(tallies),
+        total_paths=4**n,
+        balanced_count=balanced,
+        unbalanced_count=unbalanced,
+        identity_lhs=lhs,
         identity_rhs=4**n,
         bijection_ok=True,
         roundtrip_failures=(),
         elapsed=time.perf_counter() - start,
-        structural_tallies=tuple(tallies),
+        structural_tallies=tallies,
         tally_mismatches=mismatches,
     )

@@ -1,4 +1,4 @@
-"""The all-codes walk: each path's last vertex at height 0, a chunk of codes
+"""The all-codes walk: each path's last vertex at height 0, a run of codes
 at a time, in rank order, one byte per code. It imports no numpy and
 nothing of this package, so the structural identity check loads it and
 nothing else.
@@ -14,9 +14,9 @@ vertex at 0 among them. The prefix table holds one byte per low part, the
 index of its state, and is built a step at a time with two 256-entry
 `bytes.translate` tables. Each high part's suffix is walked once, which
 gives the last vertex at which it is at 0 from each start height, and fills
-a 256-byte table from a state to the whole path's last vertex at 0. Cut at
-the multiples of 2^k, a chunk falls into runs of codes with one high part,
-and a run's last vertices are its slice of the prefix table, translated.
+a 256-byte table from a state to the whole path's last vertex at 0. The
+walk yields one run per high part, the 2^k codes that share it, and a run's
+last vertices are the prefix table translated by its high part's table.
 
 The structural identity needs only how many paths have each last vertex,
 and `_last_zero_tally` counts them from the same two tables without a byte
@@ -31,28 +31,27 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, List, Tuple
 
-# codes per chunk of the all-codes walk; any size gives the same reports,
-# it bounds the memory of one chunk and of the rows it decodes, and its
-# bit length less one is the number of low bits in the walk's prefix table
+# sets the run length of the all-codes walk: a run holds 2^k codes, where
+# k is its bit length less one as `_low_bits` raises and caps it; any value
+# gives the same reports, and a run bounds the memory of its bytes and rows
 _CHUNK = 1 << 16
 
 
 def _last_zero(length: int) -> Iterator[Tuple[int, bytes]]:
-    """(lo, last) per chunk of all 2^length codes in rank order: last[r] is
-    the last vertex of the path of code lo + r at height 0, 0 if it never
-    returns."""
-    last_of = _last_zero_tables(length)
-    total = 1 << length
-    for lo in range(0, total, _CHUNK):
-        yield lo, last_of(lo, min(lo + _CHUNK, total))
+    """(lo, last) per run of the 2^k codes with one high part, in rank
+    order: last[r] is the last vertex at height 0 of the path of code
+    lo + r, 0 if it never returns."""
+    k, keys, _, table = _suffix_tables(length)
+    for high in range(1 << (length - k)):
+        yield high << k, keys.translate(table(high))
 
 
 def _low_bits(length: int) -> int:
-    """k, the number of steps in the prefix table. The chunk size fixes it,
-    so one chunk of the default size is one run of codes with the same high
-    part, and it is at least half the length, so that no chunk size,
-    however small, leaves more than 2^15 high parts. It is at most the
-    length, 30 at most, and the states of up to 30 steps fit in one byte."""
+    """k, the number of steps in the prefix table: a run holds 2^k codes.
+    It is `_CHUNK`'s bit length less one, raised to half the length, so
+    that no patched `_CHUNK`, however small, leaves more than 2^15 runs, and
+    capped at the length, 30 at most: the states of up to 30 steps fit in
+    one byte."""
     return min(length, max(_CHUNK.bit_length() - 1, (length + 1) // 2))
 
 
@@ -78,25 +77,6 @@ def _suffix_tables(length: int) -> Tuple[int, bytes, int, Callable[[int], bytes]
         return bytes(map(ends.get, heights, lows)).ljust(256, b"\0")
 
     return k, keys, len(states), table
-
-
-def _last_zero_tables(length: int) -> Callable[[int, int], bytes]:
-    """last_of(lo, hi): the last vertex at height 0 of the path of each code
-    in [lo, hi), from the prefix table of the low k bits and a table per
-    high part."""
-    k, keys, _, table = _suffix_tables(length)
-
-    def last_of(lo: int, hi: int) -> bytes:
-        # runs of codes with one high part, cut at the multiples of 2^k;
-        # the slice of a whole run is the prefix table itself, not a copy
-        cuts = [lo, *range(((lo >> k) + 1) << k, hi, 1 << k), hi]
-        runs = []
-        for a, b in zip(cuts, cuts[1:]):
-            base = a >> k << k
-            runs.append(keys[a - base : b - base].translate(table(a >> k)))
-        return b"".join(runs)
-
-    return last_of
 
 
 def _last_zero_tally(length: int) -> List[int]:

@@ -94,6 +94,16 @@ MUTANTS: List[Tuple[str, str, str, List[str]]] = [
         "        buffer.write(data)\n",
         ["tests/test_cli.py::TestBrokenPipe::test_short_write_is_followed_to_the_closed_pipe"],
     ),
+    (
+        # each run of the walk reads the table of another high part
+        "walk.py",
+        "keys.translate(table(high))",
+        "keys.translate(table(high >> 1))",
+        [
+            "tests/test_census.py::TestLastZeroWalk::test_matches_per_path_reference",
+            "tests/test_acceptance.py::test_criterion_8_chunk_determinism",
+        ],
+    ),
 ]
 
 

@@ -113,9 +113,9 @@ class TestLastZeroWalk:
             monkeypatch.setattr(walk, "_CHUNK", chunk)
             chunks = list(walk._last_zero(length))
             assert all(type(last) is bytes for _, last in chunks)
-            assert [(lo, len(last)) for lo, last in chunks] == [
-                (lo, min(chunk, (1 << length) - lo)) for lo in range(0, 1 << length, chunk)
-            ]
+            # one run of 2^k codes per high part, k as the chunk size sets it
+            run = 1 << walk._low_bits(length)
+            assert [(lo, len(last)) for lo, last in chunks] == [(lo, run) for lo in range(0, 1 << length, run)]
             assert [v for _, last in chunks for v in last] == expected
 
     @pytest.mark.parametrize("length", range(0, 23))
@@ -147,18 +147,22 @@ class TestLastZeroWalk:
 
     @pytest.mark.parametrize("length", range(17, 31))
     def test_tables_match_per_path_reference_past_one_run(self, length):
-        # a whole walk of 2^30 codes takes seconds; the tables answer any
-        # range of codes, here single codes and windows across the ends of
-        # runs, which are 2^16 codes long at the default chunk size
+        # a whole walk of 2^30 codes takes seconds; the tables give any
+        # code's last vertex, here single codes and windows across the ends
+        # of runs, which are 2^16 codes long at the default chunk size
         rng = np.random.default_rng(length)
-        last_of = walk._last_zero_tables(length)
+        k, keys, _, table = walk._suffix_tables(length)
+        assert k == 16
         codes = [0, (1 << length) - 1, *rng.integers(0, 1 << length, 300).tolist()]
+        for high in rng.integers(1, 1 << (length - k), 5).tolist():
+            codes += range((high << k) - 40, (high << k) + 40)
         for code in codes:
-            assert list(last_of(code, code + 1)) == [reference_last_zero_touch(unrank(length, code).steps)]
-        for run_end in rng.integers(1, 1 << (length - 16), 5).tolist():
-            lo, hi = (run_end << 16) - 40, (run_end << 16) + 40
-            expected = [reference_last_zero_touch(unrank(length, c).steps) for c in range(lo, hi)]
-            assert list(last_of(lo, hi)) == expected
+            last = table(code >> k)[keys[code & ((1 << k) - 1)]]
+            assert last == reference_last_zero_touch(unrank(length, code).steps)
+        if length <= 24:
+            # the walk yields each run's first code and its bytes, in order
+            runs = [(high << k, keys.translate(table(high))) for high in range(1 << (length - k))]
+            assert list(walk._last_zero(length)) == runs
 
     def test_prefix_states_fit_one_byte(self, monkeypatch):
         # a state's index is a byte of the prefix table and of the step
@@ -396,7 +400,7 @@ class TestVerifyIdentity:
         assert report.ok
 
     def test_report_classes(self):
-        # the identity checks return a plain class, the sweep a dataclass
+        # the identity checks return a named tuple, the sweep a dataclass
         for mode in ("arithmetic", "structural"):
             report = verify_identity(2, mode)
             assert type(report) is IdentityReport and not dataclasses.is_dataclass(report)

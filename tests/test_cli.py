@@ -147,7 +147,13 @@ class TestDecomposeText:
         expected.append("peaks=" + ",".join(f"{i}:{h}" for i, h in zip(d.peak_indices, d.peak_heights)))
         code, out, err = run(capsys, "decompose", format_path(p, alphabet), "--alphabet", alphabet)
         assert (code, err) == (0, "")
-        assert out == "\n".join(expected) + "\n"
+        # line by line, then the count: a failure reports the index and text
+        # of the first differing line, not a diff of some 0.1 MB of text
+        lines = out.split("\n")
+        for i, (line, want) in enumerate(zip(lines, expected)):
+            assert (i, line) == (i, want)
+        # and the text ends in a newline, so its last split is empty
+        assert (len(lines), lines[-1]) == (len(expected) + 1, "")
 
 
 class TestStdinBound:
