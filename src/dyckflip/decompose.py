@@ -8,7 +8,9 @@ where each intermediate segment is a "down-Dyck" piece (starts with a
 downstep, never rises above its start level, returns to it) and the final
 segment is "down-unbalanced" (same, but ends strictly below its start level,
 at absolute height 0). The peak in front of each segment is the leftmost
-highest vertex of the region it closes off.
+highest vertex of the region it closes off. So `validate` and `recompose`
+read validity off uniqueness: a `Decomposition` is valid iff it equals
+`decompose` of the path its parts join into.
 
 A path of k peaks decomposes into k parts, and the many-peak paths are
 where the paper's map does the most work. So `decompose` builds its parts
@@ -32,6 +34,7 @@ import numpy as np
 
 from .bijection import _first_passage, _upruns
 from .errors import (
+    DomainError,
     DownStartError,
     EmptyPathError,
     NotBalancedError,
@@ -109,57 +112,33 @@ def decompose(p: LatticePath) -> Decomposition:
     return Decomposition(parts=parts, peak_indices=tuple(ends), peak_heights=tuple(heights))
 
 
+def _check(d: Decomposition) -> Tuple[LatticePath, List[str]]:
+    """The path d's parts join into, and each part and peak list of d that
+    differs from that path's decomposition, which is unique."""
+    p = LatticePath._trusted(b"".join([UP_BYTE * up_len + seg.steps._buf for up_len, seg in d.parts]))
+    try:
+        e = decompose(p)
+    except DomainError as exc:
+        return p, [f"recomposed path: {exc}"]
+    # tuple(): a part given as a list counts as its tuple
+    violations = [f"{len(d.parts)} parts, not {len(e.parts)}"] if len(d.parts) != len(e.parts) else []
+    for k, (got, (run, seg)) in enumerate(zip(d.parts, e.parts)):
+        if tuple(got) != (run, seg):
+            word = "down-Dyck" if seg.kind is SegmentKind.DOWN_DYCK else "down-unbalanced"
+            violations.append(f"part {k}: expected uprun {run}, {word} segment {seg.steps} at {seg.start_index}")
+    peaks = (("indices", d.peak_indices, e.peak_indices), ("heights", d.peak_heights, e.peak_heights))
+    violations += [f"peak {name} {tuple(got)}, expected {want}" for name, got, want in peaks if tuple(got) != want]
+    return p, violations
+
+
 def validate(d: Decomposition) -> List[str]:
-    """All invariant violations of a decomposition; empty when it is valid."""
-    violations = []
-    if not d.parts:
-        return ["decomposition has no parts"]
-    if len(d.parts) != len(d.peak_indices) or len(d.parts) != len(d.peak_heights):
-        violations.append("parts and peak lists have different lengths")
-        return violations
-
-    pos = 0
-    level = 0
-    for k, (up_len, seg) in enumerate(d.parts):
-        last = k == len(d.parts) - 1
-        if up_len < 1:
-            violations.append(f"part {k}: uprun length {up_len} < 1")
-        expected_kind = SegmentKind.DOWN_UNBALANCED if last else SegmentKind.DOWN_DYCK
-        if seg.kind is not expected_kind:
-            violations.append(f"part {k}: segment kind {seg.kind.value}, expected {expected_kind.value}")
-        pos += up_len
-        level += up_len
-        if d.peak_indices[k] != pos:
-            violations.append(f"part {k}: peak index {d.peak_indices[k]}, uprun ends at {pos}")
-        if d.peak_heights[k] != level:
-            violations.append(f"part {k}: peak height {d.peak_heights[k]}, uprun reaches {level}")
-        if seg.start_index != pos:
-            violations.append(f"part {k}: segment start {seg.start_index}, expected {pos}")
-        rel = seg.steps.heights
-        if seg.steps.length == 0:
-            violations.append(f"part {k}: empty segment")
-        elif not seg.steps._buf.startswith(DOWN_BYTE):
-            violations.append(f"part {k}: segment does not start with a downstep")
-        if max(rel) > 0:
-            violations.append(f"part {k}: segment rises above its start level")
-        if seg.kind is SegmentKind.DOWN_DYCK and rel[-1] != 0:
-            violations.append(f"part {k}: down-Dyck segment ends at relative height {rel[-1]}, not 0")
-        if seg.kind is SegmentKind.DOWN_UNBALANCED and rel[-1] >= 0:
-            violations.append(f"part {k}: down-unbalanced segment ends at relative height {rel[-1]}, not < 0")
-        pos += seg.steps.length
-        level += rel[-1]
-
-    heights = list(d.peak_heights)
-    if any(a >= b for a, b in zip(heights, heights[1:])):
-        violations.append("peak heights do not strictly increase along the path")
-    if level != 0:
-        violations.append(f"recomposed path ends at height {level}, not 0")
-    return violations
+    """Each way d differs from its path's decomposition; empty iff d is valid."""
+    return _check(d)[1]
 
 
 def recompose(d: Decomposition) -> LatticePath:
-    """Rebuild the parent path from a decomposition, checking invariants."""
-    violations = validate(d)
+    """The path d's parts join into, if d is its decomposition."""
+    p, violations = _check(d)
     if violations:
         raise ValidationError(violations[0])
-    return LatticePath._trusted(b"".join([UP_BYTE * up_len + seg.steps._buf for up_len, seg in d.parts]))
+    return p

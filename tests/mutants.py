@@ -104,6 +104,20 @@ MUTANTS: List[Tuple[str, str, str, List[str]]] = [
             "tests/test_acceptance.py::test_criterion_8_chunk_determinism",
         ],
     ),
+    (
+        # validate compares the parts but not the peak lists
+        "decompose.py",
+        'peaks = (("indices", d.peak_indices, e.peak_indices), ("heights", d.peak_heights, e.peak_heights))',
+        "peaks = ()",
+        ["tests/test_decompose.py::TestRecomposeAndValidate::test_non_increasing_peak_heights_flagged"],
+    ),
+    (
+        # a small chunk size leaves 2^20 runs at length 30
+        "walk.py",
+        "(length + 1) // 2",
+        "(length + 1) // 3",
+        ["tests/test_census.py::TestLastZeroWalk::test_low_bits_floor_bounds_the_runs"],
+    ),
 ]
 
 

@@ -140,6 +140,14 @@ class TestLastZeroWalk:
                 assert len(keys) == 1 << k
                 assert sum(keys.count(s) for s in range(size)) == 1 << k
 
+    def test_low_bits_floor_bounds_the_runs(self, monkeypatch):
+        # however small the chunk size, k is at least half the length, so
+        # no length up to 30 leaves more than 2^15 runs
+        for chunk in (1, 2):
+            monkeypatch.setattr(walk, "_CHUNK", chunk)
+            for length in range(31):
+                assert 1 << (length - walk._low_bits(length)) <= 1 << 15
+
     def test_chunk_lives_with_the_walk(self):
         # a stale patch of census._CHUNK then raises, where it would
         # otherwise leave the walk's chunk size as it was

@@ -1,9 +1,11 @@
 import random
-from itertools import combinations
+from dataclasses import replace
+from itertools import combinations, product
 
 import pytest
 
 from dyckflip import (
+    DomainError,
     DownStartError,
     EmptyPathError,
     LatticePath,
@@ -189,6 +191,57 @@ class TestRecomposeAndValidate:
     def test_valid_decomposition_has_no_violations(self):
         for p in balanced_up_start(8):
             assert validate(decompose(p)) == []
+
+
+def joined(d):
+    """The path the parts of d join into, built from their steps."""
+    steps = []
+    for up_len, seg in d.parts:
+        steps += [1] * up_len + list(seg.steps.steps)
+    return LatticePath(steps)
+
+
+# every path of at most 4 steps, the empty one included
+SHORT_PATHS = [LatticePath(s) for n in range(5) for s in product((1, -1), repeat=n)]
+
+
+def perturbations(d):
+    """d, the empty decomposition and each change of one field of d: an
+    uprun or segment start by one, a segment's kind or steps, a peak entry
+    by one, or a part dropped."""
+    yield d
+    yield Decomposition(parts=(), peak_indices=(), peak_heights=())
+    for k, (up_len, seg) in enumerate(d.parts):
+        parts = []
+        for delta in (-1, 1):
+            parts += [(up_len + delta, seg), (up_len, seg._replace(start_index=seg.start_index + delta))]
+        other = SegmentKind.DOWN_UNBALANCED if seg.kind is SegmentKind.DOWN_DYCK else SegmentKind.DOWN_DYCK
+        parts.append((up_len, seg._replace(kind=other)))
+        parts += [(up_len, seg._replace(steps=steps)) for steps in SHORT_PATHS]
+        for part in parts:
+            yield replace(d, parts=d.parts[:k] + (part,) + d.parts[k + 1 :])
+        yield replace(d, parts=d.parts[:k] + d.parts[k + 1 :])
+        for name in ("peak_indices", "peak_heights"):
+            values = getattr(d, name)
+            for delta in (-1, 1):
+                yield replace(d, **{name: values[:k] + (values[k] + delta,) + values[k + 1 :]})
+
+
+class TestValidateAgainstReference:
+    @pytest.mark.parametrize("length", range(2, 11, 2))
+    def test_valid_iff_the_reference_decomposition(self, length):
+        # the decomposition is unique: d is valid iff it is the reference
+        # decomposition of the path its parts join into
+        for p in balanced_up_start(length):
+            for d in perturbations(decompose(p)):
+                try:
+                    want = reference_decompose(joined(d))
+                except DomainError:
+                    want = None
+                violations = validate(d)
+                assert (violations == []) == (d == want)
+                expected = (ValidationError, violations[0]) if violations else joined(d)
+                assert outcome(recompose, d) == expected
 
 
 class TestExhaustive:

@@ -5,7 +5,7 @@ from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from dyckflip import (
@@ -487,7 +487,9 @@ class TestTrustedConstruction:
             for q in enumerate_class(length, cls):
                 assert_valid(q)
 
-    @settings(max_examples=20, deadline=None)
+    # no shrink phase: on paths of thousands of steps a failure would
+    # otherwise shrink for a minute; the generated examples are the same
+    @settings(max_examples=20, deadline=None, phases=[p for p in Phase if p is not Phase.shrink])
     @given(st.integers(500, 5000), st.integers(0, 2**64 - 1))
     def test_long_paths(self, n, seed):
         steps = [1] * n + [-1] * n
