@@ -7,21 +7,20 @@ public name is looked up in its home module on first access (PEP 562) and
 then kept here, so later lookups are plain dict hits.
 """
 
-import sys
 from importlib import import_module
-from types import ModuleType
 
 __version__ = "0.1.0"
 
 # each public name and the module that defines it
 _HOMES = {
     **dict.fromkeys(
-        "BijectionTrace Direction compose_law_check phi phi_inverse verify_roundtrip".split(), "bijection"
+        "BijectionTrace Decomposition Direction Segment SegmentKind compose_law_check decompose phi phi_inverse "
+        "recompose validate verify_roundtrip".split(),
+        "bijection",
     ),
     **dict.fromkeys(
         "CensusReport enumerate_class last_zero_touch split_at_last_zero verify_bijection".split(), "census"
     ),
-    **dict.fromkeys("Decomposition Segment SegmentKind decompose recompose validate".split(), "decompose"),
     **dict.fromkeys(
         "DomainError DownStartError EmptyPathError NotBalancedError NotUnbalancedError OddLengthError ParseError "
         "PreconditionError RangeError ValidationError".split(),
@@ -51,14 +50,3 @@ def __getattr__(name: str):
 def __dir__():
     return sorted({*globals(), *_HOMES})
 
-
-class _Package(ModuleType):
-    def __setattr__(self, name: str, value: object) -> None:
-        # the import system binds each submodule to its name here when it is
-        # first imported, from wherever; a public name that is also a
-        # submodule's (the function decompose) keeps naming the public object
-        if not (name in _HOMES and isinstance(value, ModuleType)):
-            super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package

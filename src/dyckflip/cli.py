@@ -112,20 +112,6 @@ def _read_path(arg: str, alphabet: str) -> LatticePath:
     return parse_path(text, alphabet)
 
 
-def _trace_fields(p, image, trace, alphabet: str) -> dict:
-    from .path import classify, format_path
-
-    return {
-        "input": format_path(p, alphabet),
-        "output": format_path(image, alphabet),
-        "class_in": classify(p).value,
-        "class_out": classify(image).value,
-        "b_points": [list(pt) for pt in trace.b_points],
-        "g_points": [list(pt) for pt in trace.g_points],
-        "lines": list(trace.reflection_lines),
-    }
-
-
 def _write(chunks: Iterable[str]) -> None:
     """Write text to stdout, or raise BrokenPipeError.
 
@@ -149,32 +135,41 @@ def _write(chunks: Iterable[str]) -> None:
             data = data[buffer.write(data) :]
 
 
+def _field(value) -> str:
+    """A trace record's value on its key=value line: a point as i:h, and a
+    tuple of points or levels comma-separated."""
+    if isinstance(value, str):
+        return value
+    return ",".join(["%d:%d" % x if isinstance(x, tuple) else str(x) for x in value])
+
+
 def _run_map(args: argparse.Namespace) -> int:
     from .bijection import phi, phi_inverse
     from .path import classify, format_path
 
     p = _read_path(args.path, args.alphabet)
     image, trace = (phi_inverse if args.command == "invert" else phi)(p)
+    output = format_path(image, args.alphabet)
+    # the trace record: --json dumps it after the two paths, its tuples as
+    # lists, and --trace writes it as key=value lines after the image
+    record = {
+        "class_in": classify(p).value,
+        "class_out": classify(image).value,
+        "b_points": trace.b_points,
+        "g_points": trace.g_points,
+        "lines": trace.reflection_lines,
+    }
     if args.as_json:
         import json
 
-        _write([json.dumps(_trace_fields(p, image, trace, args.alphabet)), "\n"])
-        return 0
-    lines = [format_path(image, args.alphabet), "\n"]
-    if args.trace:
-        lines += (
-            f"class_in={classify(p).value}\n",
-            f"class_out={classify(image).value}\n",
-            "b_points=" + ",".join(f"{i}:{h}" for i, h in trace.b_points) + "\n",
-            "g_points=" + ",".join(f"{i}:{h}" for i, h in trace.g_points) + "\n",
-            "lines=" + ",".join(map(str, trace.reflection_lines)) + "\n",
-        )
-    _write(lines)
+        _write([json.dumps({"input": format_path(p, args.alphabet), "output": output, **record}), "\n"])
+    else:
+        _write([output, "\n", *(f"{key}={_field(value)}\n" for key, value in record.items() if args.trace)])
     return 0
 
 
 def _run_decompose(args: argparse.Namespace) -> int:
-    from .decompose import decompose
+    from .bijection import decompose
     from .path import format_path
 
     p = _read_path(args.path, args.alphabet)
@@ -260,11 +255,7 @@ def _run_render(args: argparse.Namespace) -> int:
     from .render import RenderSpec, render_ascii, render_svg
 
     p = _read_path(args.path, args.alphabet)
-    trace = None
-    if args.trace == "forward":
-        _, trace = phi(p)
-    elif args.trace == "inverse":
-        _, trace = phi_inverse(p)
+    trace = None if args.trace is None else (phi_inverse if args.trace == "inverse" else phi)(p)[1]
     spec = RenderSpec(path=p, trace=trace, cell_size=args.cell_size, show_axes=args.axes)
     if args.svg is not None:
         doc = render_svg(spec)

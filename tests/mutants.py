@@ -48,7 +48,7 @@ MUTANTS: List[Tuple[str, str, str, List[str]]] = [
     ),
     (
         # empty pieces between adjacent peaks become parts
-        "decompose.py",
+        "bijection.py",
         'pieces = filter(None, np.where(kept, 0, np.frombuffer(p._buf, np.int8)).tobytes().split(b"\\0"))',
         'pieces = np.where(kept, 0, np.frombuffer(p._buf, np.int8)).tobytes().split(b"\\0")',
         ["tests/test_decompose.py::TestAgainstReference::test_many_peak_families"],
@@ -106,7 +106,7 @@ MUTANTS: List[Tuple[str, str, str, List[str]]] = [
     ),
     (
         # validate compares the parts but not the peak lists
-        "decompose.py",
+        "bijection.py",
         'peaks = (("indices", d.peak_indices, e.peak_indices), ("heights", d.peak_heights, e.peak_heights))',
         "peaks = ()",
         ["tests/test_decompose.py::TestRecomposeAndValidate::test_non_increasing_peak_heights_flagged"],
@@ -117,6 +117,27 @@ MUTANTS: List[Tuple[str, str, str, List[str]]] = [
         "(length + 1) // 2",
         "(length + 1) // 3",
         ["tests/test_census.py::TestLastZeroWalk::test_low_bits_floor_bounds_the_runs"],
+    ),
+    (
+        # the SVG axis is drawn at level 1
+        "render.py",
+        'y1="{y(0)}" x2="{p.length * cell}" y2="{y(0)}"',
+        'y1="{y(1)}" x2="{p.length * cell}" y2="{y(1)}"',
+        ["tests/test_cli.py::test_golden[argv11-render_uduudd_axes.svg]"],
+    ),
+    (
+        # a failed verification exits 2, the code of a usage or domain error
+        "cli.py",
+        "return 0 if report.ok else 1",
+        "return 0 if report.ok else 2",
+        ["tests/test_cli.py::TestExitCodes::test_failed_verification_is_1"],
+    ),
+    (
+        # rank refuses a path of MAX_RANK_LENGTH steps
+        "path.py",
+        "if p.length > MAX_RANK_LENGTH:",
+        "if p.length >= MAX_RANK_LENGTH:",
+        ["tests/test_path.py::TestRankUnrank::test_longest"],
     ),
 ]
 

@@ -5,8 +5,7 @@ test_decompose checks `decompose` against it, test_bijection checks the
 maps, and test_bijection also checks that this file imports nothing of the
 package but its types, error classes and byte constants."""
 
-from dyckflip import DownStartError, EmptyPathError, LatticePath, NotBalancedError, SegmentKind
-from dyckflip.decompose import Decomposition, Segment
+from dyckflip import Decomposition, DownStartError, EmptyPathError, LatticePath, NotBalancedError, Segment, SegmentKind
 from dyckflip.path import DOWN_BYTE
 
 

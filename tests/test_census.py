@@ -209,7 +209,7 @@ class TestEnumerateClass:
 
     def test_range_error(self):
         with pytest.raises(RangeError):
-            list(enumerate_class(31))
+            next(enumerate_class(31))
 
     @pytest.mark.parametrize("length", range(0, 15))
     def test_matches_classify_filter(self, length):
@@ -388,6 +388,13 @@ class TestVerifyBijection:
             verify_bijection(0)
         with pytest.raises(RangeError):
             verify_bijection(99)
+
+    def test_largest_n_in_range(self, monkeypatch):
+        # the range check alone: a walk that yields no run sweeps nothing
+        monkeypatch.setattr(census, "_last_zero", lambda length: iter(()))
+        assert verify_bijection(identity.MAX_BIJECTION_N).n == identity.MAX_BIJECTION_N
+        with pytest.raises(RangeError):
+            verify_bijection(identity.MAX_BIJECTION_N + 1)
 
 
 class TestVerifyIdentity:

@@ -6,9 +6,10 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from dyckflip import cli
+from dyckflip import census, cli
 from dyckflip.bijection import phi
 from dyckflip.identity import MAX_ARITHMETIC_N, exact_int_str
 from dyckflip.cli import MAX_STDIN_CHARS, build_parser, main
@@ -40,6 +41,7 @@ def run(capsys, *argv):
         (("enumerate", "--len", "4", "--class", "up"), "enumerate_len4_up.txt"),
         (("render", "UDUUDD", "--trace", "forward"), "render_uduudd_ascii.txt"),
         (("render", "UDUUDD", "--trace", "forward", "--svg", "-"), "render_uduudd.svg"),
+        (("render", "UDUUDD", "--trace", "forward", "--svg", "-", "--axes"), "render_uduudd_axes.svg"),
     ],
 )
 def test_golden(capsys, argv, golden):
@@ -78,6 +80,13 @@ class TestExitCodes:
         code, out, err = run(capsys, "enumerate", "--len", length)
         assert (code, out) == (2, "")
         assert err.startswith("error: Range: ") and err.count("\n") == 1
+
+    def test_failed_verification_is_1(self, capsys, monkeypatch):
+        # the constant-image stub of test_corrupted_phi_detected
+        monkeypatch.setattr(census, "phi_rows", lambda rows: (np.ones_like(rows), None))
+        code, out, _ = run(capsys, "verify", "bijection", "--n", "2")
+        assert code == 1
+        assert out.endswith("\nok=false\n")
 
     def test_verify_range_error_is_2(self, capsys):
         assert run(capsys, "verify", "bijection", "--n", "99")[0] == 2

@@ -5,11 +5,13 @@ from itertools import combinations, product
 import pytest
 
 from dyckflip import (
+    Decomposition,
     DomainError,
     DownStartError,
     EmptyPathError,
     LatticePath,
     NotBalancedError,
+    Segment,
     SegmentKind,
     ValidationError,
     decompose,
@@ -19,7 +21,6 @@ from dyckflip import (
     reflect_all,
     validate,
 )
-from dyckflip.decompose import Decomposition, Segment
 from peak_reference import reference_decompose
 
 
@@ -187,6 +188,21 @@ class TestRecomposeAndValidate:
             peak_heights=(2, 2),
         )
         assert any("peak" in v for v in validate(d))
+
+    def test_violations_name_the_expected_kind(self):
+        d = decompose(parse_path("UDUUDD"))
+        (a, dyck), (b, last) = d.parts
+        d = replace(
+            d,
+            parts=(
+                (a, dyck._replace(kind=SegmentKind.DOWN_UNBALANCED)),
+                (b, last._replace(kind=SegmentKind.DOWN_DYCK)),
+            ),
+        )
+        assert validate(d) == [
+            "part 0: expected uprun 1, down-Dyck segment DU at 1",
+            "part 1: expected uprun 1, down-unbalanced segment DD at 4",
+        ]
 
     def test_valid_decomposition_has_no_violations(self):
         for p in balanced_up_start(8):

@@ -29,6 +29,7 @@ from dyckflip import (
     split_at_last_zero,
     unrank,
 )
+from dyckflip.path import MAX_RANK_LENGTH
 from peak_reference import (
     reference_heights,
     reference_last_zero_touch,
@@ -318,6 +319,12 @@ class TestRankUnrank:
             unrank(2, 4)
         with pytest.raises(RangeError):
             unrank(2, -1)
+
+    def test_longest(self):
+        top = unrank(MAX_RANK_LENGTH, 2**62 - 1)
+        assert (MAX_RANK_LENGTH, rank(top)) == (62, 2**62 - 1)
+        with pytest.raises(RangeError):
+            rank(concat(top, parse_path("U")))
 
     @pytest.mark.parametrize("length", range(0, 11))
     def test_bijection_on_small_lengths(self, length):

@@ -1,9 +1,12 @@
 import random
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from dyckflip import (
+    BijectionTrace,
+    Direction,
     LatticePath,
     RangeError,
     RenderSpec,
@@ -15,8 +18,9 @@ from dyckflip import (
     render_svg,
     unrank,
 )
-from dyckflip.render import MAX_CELL_SIZE
+from dyckflip.render import MAX_ASCII_LENGTH, MAX_CELL_SIZE
 
+GOLDEN = Path(__file__).parent / "golden"
 CELL_SIZES = [1, 7, 10, 999, MAX_CELL_SIZE]
 
 
@@ -82,6 +86,17 @@ class TestAscii:
         with pytest.raises(RangeError):
             render_ascii(RenderSpec(path=LatticePath((1,) * 121)))
 
+    def test_longest(self):
+        assert MAX_ASCII_LENGTH == 120
+        assert render_ascii(RenderSpec(path=parse_path("UD" * 60))) == "/\\" * 60 + "\n"
+
+    def test_b_point_at_or_past_the_last_vertex_skipped(self):
+        # a B goes in the column right of its vertex, and the last vertex
+        # has none
+        p = parse_path("UUDD")
+        trace = BijectionTrace(((4, 1), (5, 0)), (), (), Direction.FORWARD)
+        assert render_ascii(RenderSpec(path=p, trace=trace)) == render_ascii(RenderSpec(path=p))
+
     def test_deterministic(self):
         spec = RenderSpec(path=parse_path("UDUUDD"), trace=phi(parse_path("UDUUDD"))[1])
         assert render_ascii(spec) == render_ascii(spec)
@@ -91,6 +106,11 @@ class TestSvg:
     def test_smallest_coordinates(self):
         doc = render_svg(RenderSpec(path=parse_path("UD"), cell_size=10))
         assert polyline_points(doc) == ["0,10", "10,0", "20,10"]
+
+    def test_default_cell_size(self):
+        p = parse_path("UDUUDD")
+        doc = render_svg(RenderSpec(path=p, trace=phi(p)[1]))
+        assert doc == (GOLDEN / "render_uduudd.svg").read_text()
 
     def test_empty_path_is_valid_document(self):
         doc = render_svg(RenderSpec(path=LatticePath(())))

@@ -137,14 +137,12 @@ def test_structural_identity_loads_the_walk_alone():
 NAMESPACE = """
 import sys
 
-# the submodule first: the function decompose must still win its name
-from dyckflip.decompose import Decomposition
+from dyckflip.bijection import Decomposition
 import dyckflip
 
 for name in dyckflip.__all__:
     value = getattr(dyckflip, name)
     assert getattr(sys.modules[value.__module__], name) is value, name
-assert dyckflip.decompose is sys.modules["dyckflip.decompose"].decompose
 assert Decomposition is dyckflip.Decomposition
 
 star = {}
