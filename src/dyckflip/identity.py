@@ -177,8 +177,7 @@ def verify_identity(n: int, mode: IdentityMode = "arithmetic") -> IdentityReport
         # none is at an odd vertex, and one counted there would leave the sum
         # short of 4^n
         tallies = tuple(_last_zero_tally(2 * n)[::2])
-        expected = [comb(2 * i, i) * comb(2 * (n - i), n - i) for i in range(n + 1)]
-        mismatches = tuple(i for i in range(n + 1) if tallies[i] != expected[i])
+        mismatches = tuple(i for i in range(n + 1) if tallies[i] != comb(2 * i, i) * comb(2 * (n - i), n - i))
         balanced, unbalanced, lhs = tallies[n], tallies[0], sum(tallies)
     return IdentityReport(
         n=n,

@@ -1,6 +1,8 @@
 """Step/path representation in rotated coordinates, plus the primitives
 everything else is built from: classification, reflection, concatenation
-and rank/unrank enumeration support.
+and rank/unrank enumeration support. This is the one module that decodes
+codes into steps: `unrank` one code, `unrank_rows` an array of them, the
+all-codes census's runs.
 
 A path lives on the rotated lattice where the diagonal is horizontal: every
 step moves one unit right and one unit up (+1) or down (-1). The height
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 import struct
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Iterable, Iterator, Tuple
 
 import numpy as np
@@ -240,7 +242,17 @@ def rank(p: LatticePath) -> int:
     return int(b"0" + p._buf[::-1].translate(_BITS), 2)
 
 
+def unrank_rows(codes: np.ndarray, length: int) -> np.ndarray:
+    """unrank for an array of codes below 2^31: one int8 row of steps per
+    code, step j Up iff bit j is set."""
+    # bit j of a code is bit j % 8 of its byte j // 8 in little-endian order
+    code_bytes = codes.astype("<i4", copy=False).view(np.uint8).reshape(-1, 4)
+    rows = np.unpackbits(code_bytes, axis=1, count=length, bitorder="little").view(np.int8)
+    rows *= 2
+    rows -= 1
+    return rows
+
+
 def all_paths(length: int) -> Iterator[LatticePath]:
     """All paths of a given length in rank order."""
-    for code in range(1 << length):
-        yield unrank(length, code)
+    return map(unrank, repeat(length), range(1 << length))

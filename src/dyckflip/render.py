@@ -113,7 +113,8 @@ def render_svg(spec: RenderSpec) -> str:
     labels. The extent comes from the path's int32 heights, and the
     polyline is written as one uint8 array: per vertex its x digits, a
     comma, the digits of its level's y (gathered from a table with one
-    entry per level) and a space, with the leading zeros dropped.
+    entry per level, a slice of the x digits' table) and a space, with the
+    leading zeros dropped.
     """
     p = spec.path
     cell = spec.cell_size
@@ -144,7 +145,10 @@ def render_svg(spec: RenderSpec) -> str:
             )
     # one row per byte column of the "x,y " vertex fields, one column per vertex
     xs = _multiples(len(h), cell)
-    ys = _multiples(top - bottom + 1, cell)  # column r is the y of level top - r
+    # column r of ys is the y of level top - r, which is r·cell as column r
+    # of xs is: there are no more levels than vertices, and the last rows of
+    # xs hold the digits of r·cell to the width of the largest y
+    ys = xs[len(xs) - len(str((top - bottom) * cell)) :, : top - bottom + 1]
     fields = np.empty((len(xs) + len(ys) + 2, len(h)), np.uint8)
     fields[: len(xs)] = xs
     fields[len(xs)] = ord(",")

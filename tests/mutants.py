@@ -139,6 +139,27 @@ MUTANTS: List[Tuple[str, str, str, List[str]]] = [
         "if p.length >= MAX_RANK_LENGTH:",
         ["tests/test_path.py::TestRankUnrank::test_longest"],
     ),
+    (
+        # the census reader swaps the up- and down-unbalanced classes
+        "census.py",
+        "2 - (codes & 1)",
+        "1 + (codes & 1)",
+        ["tests/test_census.py::TestClassCodes::test_classes_partition_each_run[2]"],
+    ),
+    (
+        # the sweep's unbalanced count is the walk's tally of balanced paths
+        "census.py",
+        "_last_zero_tally(length)[0]",
+        "_last_zero_tally(length)[-1]",
+        ["tests/test_census.py::TestVerifyBijection::test_unbalanced_count_is_the_tallys"],
+    ),
+    (
+        # a prefix state's number of codes comes from its down parent only
+        "walk.py",
+        "count[i] += m",
+        "count[i] += m * (table is down)",
+        ["tests/test_census.py::TestLastZeroWalk::test_prefix_counts_are_the_tables_counts"],
+    ),
 ]
 
 

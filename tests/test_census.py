@@ -26,6 +26,7 @@ from dyckflip import (
     identity_lhs,
     last_zero_touch,
     parse_path,
+    path,
     split_at_last_zero,
     unrank,
     verify_bijection,
@@ -140,6 +141,14 @@ class TestLastZeroWalk:
                 assert len(keys) == 1 << k
                 assert sum(keys.count(s) for s in range(size)) == 1 << k
 
+    def test_prefix_counts_are_the_tables_counts(self):
+        # the counts carried through the doubling are those of the table's
+        # bytes: each state has as many codes as bytes of its index
+        for k in range(17):
+            keys, states = walk._prefix(k)
+            assert list(states.values()) == [keys.count(s) for s in range(len(states))]
+            assert sum(states.values()) == 1 << k
+
     def test_low_bits_floor_bounds_the_runs(self, monkeypatch):
         # however small the chunk size, k is at least half the length, so
         # no length up to 30 leaves more than 2^15 runs
@@ -225,7 +234,7 @@ class TestEnumerateClass:
         # the walk's lengths go to 30: codes of up to four bytes
         rng = np.random.default_rng(length)
         codes = [0, 1, (1 << length) - 1, *rng.integers(0, 1 << length, 200).tolist()]
-        rows = census._rows(np.array(codes, dtype=np.int32), length)
+        rows = path.unrank_rows(np.array(codes, dtype=np.int32), length)
         assert rows.dtype == np.int8
         assert [tuple(row) for row in rows.tolist()] == [unrank(length, c).steps for c in codes]
 
@@ -245,6 +254,26 @@ class TestEnumerateClass:
         assert balanced == binomial(2 * n, n)
         assert up == down == binomial(2 * n, n) // 2
         assert up + down == balanced
+
+
+class TestClassCodes:
+    @pytest.mark.parametrize("length", range(0, 17))
+    def test_classes_partition_each_run(self, monkeypatch, length):
+        # per-path reference that does not use the all-codes walk
+        classes = [classify(unrank(length, code)) for code in range(1 << length)]
+        for chunk in (1, 2, walk._CHUNK):
+            monkeypatch.setattr(walk, "_CHUNK", chunk)
+            runs = [(lo, len(last)) for lo, last in walk._last_zero(length)]
+            readers = zip(*(census._class_codes(length, cls) for cls in (None, *PathClass)), strict=True)
+            for (lo, size), (every, *by_class) in zip(runs, readers, strict=True):
+                # every code once, and each class's codes in rank order;
+                # together the classes hold each code of the run once
+                run = list(range(lo, lo + size))
+                assert every.tolist() == run
+                assert sorted(code for codes in by_class for code in codes.tolist()) == run
+                for cls, codes in zip(PathClass, by_class):
+                    assert codes.tolist() == sorted(codes.tolist())
+                    assert all(classes[code] is cls for code in codes.tolist())
 
 
 def _copy_row_0_into_row_1(phi_rows):
@@ -382,6 +411,27 @@ class TestVerifyBijection:
         assert report.unbalanced_count == (
             classes[PathClass.UP_UNBALANCED] + classes[PathClass.DOWN_UNBALANCED]
         )
+
+    @pytest.mark.parametrize("n", range(1, identity.MAX_BIJECTION_N + 1))
+    def test_counts_match_the_tally(self, n):
+        # the balanced paths decoded and mapped, and the unbalanced ones the
+        # walk tallies at vertex 0, are the tally's two ends
+        tally = walk._last_zero_tally(2 * n)
+        report = verify_bijection(n)
+        assert (report.balanced_count, report.unbalanced_count) == (tally[2 * n], tally[0])
+
+    def test_unbalanced_count_is_the_tallys(self, monkeypatch):
+        # a tally one path over at vertex 0: the sweep reports that count,
+        # apart from the balanced paths it maps, and the verdict fails
+        def tally(length):
+            counts = walk._last_zero_tally(length)
+            return [counts[0] + 1, *counts[1:]]
+
+        monkeypatch.setattr(census, "_last_zero_tally", tally)
+        report = verify_bijection(3)
+        assert (report.balanced_count, report.unbalanced_count) == (20, 21)
+        assert report.roundtrip_failures == ()
+        assert not report.bijection_ok and not report.ok
 
     def test_range_errors(self):
         with pytest.raises(RangeError):

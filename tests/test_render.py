@@ -2,6 +2,7 @@ import random
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dyckflip import (
@@ -14,6 +15,7 @@ from dyckflip import (
     phi,
     phi_inverse,
     reflect_all,
+    render,
     render_ascii,
     render_svg,
     unrank,
@@ -184,6 +186,21 @@ class TestPolylineAgainstReference:
         many_peak = parse_path("UUD" * (length // 4) + "D" * (length // 4))
         for q in (p, reflect_all(p), many_peak):
             assert points_text(render_svg(RenderSpec(path=q, cell_size=cell))) == reference_points(q, cell)
+
+
+class TestDigitTables:
+    @pytest.mark.parametrize("cell", [1, 2, 3, 7, 10, 97, 1000, MAX_CELL_SIZE])
+    def test_y_digits_are_the_last_rows_of_the_x_digits(self, cell):
+        # render_svg takes the digits of the levels' y values off those of
+        # the vertices' x values; the counts of values from 1 to 16,001 at
+        # which the widest value gains a digit, with their neighbours
+        edges = {-(-(10**e) // cell) + d for e in range(17) for d in (0, 1, 2)}
+        counts = sorted({1, 2, 3, 16001} | {c for c in edges if c <= 16001})
+        for vertices in counts:
+            xs = render._multiples(vertices, cell)
+            for levels in (c for c in counts if c <= vertices):
+                width = len(str((levels - 1) * cell))
+                assert np.array_equal(xs[len(xs) - width :, :levels], render._multiples(levels, cell))
 
 
 def fstring_points(p, cell):
