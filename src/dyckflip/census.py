@@ -118,12 +118,12 @@ def verify_bijection(n: int) -> CensusReport:
     codes the sweep decodes and maps: the all-codes walk's balanced codes,
     a run at a time. unbalanced_count is the walk's tally of the paths that
     never return to height 0, as the structural identity reports it: a
-    count over every path, a prefix state's number of codes at a time, in
-    which phi plays no part. The balanced paths of each run go through the
-    forward kernel as one array of step rows, and their images through the
-    inverse one. An image must have the shape of its input, be unbalanced
-    by the inverse kernel's mask and map back to its path, or the path is
-    listed in roundtrip_failures. The inverse works row by row, so it is a
+    count over every path, carried by (height, last vertex at 0) state a
+    step at a time, in which phi plays no part. The balanced paths of each
+    run go through the forward kernel as one array of step rows, and their
+    images through the inverse one. An image must have the shape of its
+    input, be unbalanced by the inverse kernel's mask and map back to its
+    path, or the path is listed in roundtrip_failures. The inverse works row by row, so it is a
     function of the image alone, and a map with a left inverse is
     injective: phi(a) = phi(b) gives a = phi_inverse(phi(a)) = b. The map
     is a bijection iff nothing failed and both sides count C(2n, n): the

@@ -13,8 +13,9 @@ fields. The two share their verdict and text forms through `_Report`. This
 module imports neither numpy nor `dataclasses`, and neither mode loads
 them: the structural branch imports the all-codes walk of `walk`, which
 imports no numpy, when it first runs, and nothing else of the package. It
-tallies the last vertices a run of codes at a time: each prefix state adds
-its number of codes to the vertex that the run's table gives it.
+tallies the last vertices by state: the walk's recursion over (height,
+last vertex at 0) carries each state's number of paths a step at a time,
+and each state of the 2n steps adds its count to its last vertex.
 """
 
 from __future__ import annotations
@@ -153,10 +154,10 @@ def verify_identity(n: int, mode: IdentityMode = "arithmetic") -> IdentityReport
 
     Arithmetic mode evaluates both sides with exact integers, each term of
     the sum from the one before by their ratio. Structural mode tallies the
-    4^n paths by their last visit to height 0, off the tables of the
-    all-codes walk: it counts each prefix code's state and walks every
-    suffix once. It compares the tallies, by prefix half-length, with the
-    binomial products.
+    4^n paths by their last visit to height 0, counted by the all-codes
+    walk's recursion over (height, last vertex at 0) states, a step at a
+    time, with no byte per path. It compares the tallies, by prefix
+    half-length, with the binomial products.
     """
     start = time.perf_counter()
     tallies, mismatches = None, ()

@@ -223,10 +223,16 @@ def max_height(p: LatticePath) -> Tuple[int, int]:
     return m, h.index(m)
 
 
-def unrank(length: int, code: int) -> LatticePath:
-    """Path of the given length whose step j is Up iff bit j of code is set."""
+def _check_rank_length(length: int) -> None:
+    """Refuse a length that has no codes to rank: unrank's and all_paths'
+    bound."""
     if not 0 <= length <= MAX_RANK_LENGTH:
         raise RangeError(f"length must be in [0, {MAX_RANK_LENGTH}], got {length}")
+
+
+def unrank(length: int, code: int) -> LatticePath:
+    """Path of the given length whose step j is Up iff bit j of code is set."""
+    _check_rank_length(length)
     if not 0 <= code < (1 << length):
         raise RangeError(f"code {code} out of range for length {length}")
     # the code's binary digits, low bit first, less the leading 1 that keeps
@@ -254,5 +260,7 @@ def unrank_rows(codes: np.ndarray, length: int) -> np.ndarray:
 
 
 def all_paths(length: int) -> Iterator[LatticePath]:
-    """All paths of a given length in rank order."""
+    """All paths of a given length in rank order. The length is checked
+    at the call, before any path is drawn."""
+    _check_rank_length(length)
     return map(unrank, repeat(length), range(1 << length))

@@ -10,24 +10,27 @@ its last vertex at 0 is its last vertex, unbalanced iff it is its first.
 
 The walk splits each path into a prefix and a suffix, as the structural
 identity does, but after a fixed k steps: the code's low k bits and its
-high bits. A prefix's state is its height after its k steps and its last
-vertex at 0 among them. The prefix table holds one byte per low part, the
-index of its state, and is built a step at a time with two 256-entry
-`bytes.translate` tables. Each high part's suffix is walked once, which
-gives the last vertex at which it is at 0 from each start height, and fills
-a 256-byte table from a state to the whole path's last vertex at 0. The
-walk yields one run per high part, the 2^k codes that share it, and a run's
+high bits. A path's state after t steps is its height and its last vertex
+at 0 among them, and `_states` is the one recursion over states: step t
+takes each state of t - 1 steps, with its number of paths, to the two
+states that a down and an up step t lead to, and records the move as two
+256-entry `bytes.translate` tables from state index to state index. Up to
+30 steps there are at most 241 states, so an index fits one byte. The
+prefix table holds one byte per low part, the index of its state, folded
+from the first k step tables. A high part's suffix table follows every
+prefix state through the step tables of the high part's steps, down or up
+by its bits, and reads the final state's last vertex at 0: a 256-byte
+table from a prefix state to the whole path's last vertex at 0. The walk
+yields one run per high part, the 2^k codes that share it, and a run's
 last vertices are the prefix table translated by its high part's table.
 
 The structural identity and the bijection sweep's unbalanced count need
 only how many paths have each last vertex, and `_last_zero_tally` counts
-them from the same tables without a byte per path. The prefix table's
-build carries each state's number of codes through its doubling, a
-state of t steps having the codes of the states of t - 1 steps it
-follows, and each high part's table sends every state's count to its
-vertex. The prefix table translated by a table T has as many bytes v as
-it has bytes s with T[s] = v, so the tally is the count of the bytes that
-the per-code walk yields.
+them by state with no table and no byte per path: the recursion carries
+each state's number of paths from those of the states it follows, each
+of the 2^length paths ends in one state, and that state's last vertex at
+0 is the path's. So the tally is the count of the bytes that the per-code
+walk yields.
 """
 
 from __future__ import annotations
@@ -60,51 +63,41 @@ def _low_bits(length: int) -> int:
 
 def _suffix_tables(length: int) -> Tuple[int, bytes, int, Callable[[int], bytes]]:
     """(k, keys, size, table): the prefix table of the low k bits, whose
-    bytes index its `size` states, and `_suffix_table`'s table(high) of
-    those states."""
+    bytes index its `size` states, and table(high), the 256-byte table
+    from the index of each of those states to the last vertex at 0 of the
+    path with that state and high part `high`. `_last_zero` reads it with
+    the prefix table."""
     k = _low_bits(length)
     keys, states = _prefix(k)
-    return k, keys, len(states), _suffix_table(length, k, states)
-
-
-def _suffix_table(length: int, k: int, states: Dict[Tuple[int, int], int]) -> Callable[[int], bytes]:
-    """table(high): the 256-byte table from the index of each of `states`,
-    the states of the k prefix steps, to the last vertex at 0 of the path
-    with that state and high part `high`. `_last_zero` reads it with the
-    states' prefix table, `_last_zero_tally` with their counts."""
-    heights, lows = zip(*states)
+    steps, final = _states(length)
+    suffix = steps[k:]
+    # a final state's last vertex at 0 is its path's; translate takes 256
+    # entries, and no index is past the last state
+    vertices = bytes(z for _, z in final).ljust(256, b"\0")
 
     def table(high: int) -> bytes:
-        # the suffix started at height v is at 0 after its t-th step iff
-        # its walk from 0 is at -v there; a later vertex overwrites an earlier
-        ends = {}
-        g = 0
-        for vertex in range(k + 1, length + 1):
-            g += 1 if high & 1 else -1
+        # each prefix state's index, moved through the state table of each
+        # of the high part's steps to that of its final state; the identity
+        # table that `maketrans` returns is much quicker to build than
+        # bytes(range(256))
+        index = bytes.maketrans(b"", b"")
+        for down, up in suffix:
+            index = index.translate(up if high & 1 else down)
             high >>= 1
-            ends[-g] = vertex
-        # a return in the suffix comes after every vertex of the prefix;
-        # translate takes 256 entries, and no key is past the last state
-        return bytes(map(ends.get, heights, lows)).ljust(256, b"\0")
+        return index.translate(vertices)
 
-    return table
+    return k, keys, len(states), table
 
 
 def _last_zero_tally(length: int) -> List[int]:
     """tally[v]: the number of paths of `length` steps whose last vertex at
-    height 0 is v, 0 if they never return. It counts the bytes that
-    `_last_zero` yields, a run at a time: a run's bytes are the prefix
-    table translated by its high part's table, so each state adds its
-    number of prefix codes to the tally of the vertex its table gives."""
-    k = _low_bits(length)
-    states = _prefix(k)[1]
-    # a list, which the inner loop below reads faster than a dict's view
-    counts = list(states.values())
+    height 0 is v, 0 if they never return. Each path ends in one state of
+    `_states`, whose last vertex at 0 is its own, so each final state adds
+    its number of paths to its vertex: the count of the bytes that
+    `_last_zero` yields, with no table and no byte per path."""
     tally = [0] * (length + 1)
-    # each high part's table: the last vertex at 0 of each state's paths
-    for vertices in map(_suffix_table(length, k, states), range(1 << (length - k))):
-        for vertex, m in zip(vertices, counts):
-            tally[vertex] += m
+    for (_, vertex), m in _states(length)[1].items():
+        tally[vertex] += m
     return tally
 
 
@@ -112,11 +105,27 @@ def _prefix(k: int) -> Tuple[bytes, Dict[Tuple[int, int], int]]:
     """(keys, states) of the codes of k steps: keys[code] is the index in
     states of the pair (height after the k steps, last vertex at 0), and
     states maps each pair, in the order of their indices, to its number of
-    codes, carried through the doubling so that the tally does not scan
-    the table for them."""
-    keys, states = b"\0", {(0, 0): 1}
-    for t in range(1, k + 1):
-        # a state of t steps has the codes of its parents of t - 1 steps;
+    codes. The table is folded from the k step tables of `_states`."""
+    steps, states = _states(k)
+    keys = b"\0"
+    for down, up in steps:
+        # the codes of one more step: those so far with that step down,
+        # then the same with it up
+        keys = keys.translate(down) + keys.translate(up)
+    return keys, states
+
+
+def _states(length: int) -> Tuple[List[Tuple[bytearray, bytearray]], Dict[Tuple[int, int], int]]:
+    """(steps, states): steps[t - 1] is the pair (down, up) of 256-byte
+    `bytes.translate` tables from the index of each state of t - 1 steps
+    to the index of the state that a down or an up step t leads to, and
+    states maps each of the states of `length` steps, in the order of
+    their indices, to its number of paths. A state is the pair (height,
+    last vertex at 0); the states of t steps are indexed in the order in
+    which the states of t - 1 steps, in theirs, first lead to them."""
+    steps, states = [], {(0, 0): 1}
+    for t in range(1, length + 1):
+        # a state of t steps has the paths of its parents of t - 1 steps;
         # no more than 256 states, so their indices fit one byte
         index, count = {}, [0] * 256
         down, up = bytearray(256), bytearray(256)
@@ -124,8 +133,6 @@ def _prefix(k: int) -> Tuple[bytes, Dict[Tuple[int, int], int]]:
             for table, g in ((down, h - 1), (up, h + 1)):
                 i = table[s] = index.setdefault((g, t if g == 0 else z), len(index))
                 count[i] += m
-        # the codes of t bits: those of t - 1 bits with step t down, then
-        # the same with it up
-        keys = keys.translate(down) + keys.translate(up)
+        steps.append((down, up))
         states = dict(zip(index, count))
-    return keys, states
+    return steps, states

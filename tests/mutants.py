@@ -160,6 +160,34 @@ MUTANTS: List[Tuple[str, str, str, List[str]]] = [
         "count[i] += m * (table is down)",
         ["tests/test_census.py::TestLastZeroWalk::test_prefix_counts_are_the_tables_counts"],
     ),
+    (
+        # each suffix step moves the states by the other step's table
+        "walk.py",
+        "up if high & 1 else down",
+        "down if high & 1 else up",
+        [
+            "tests/test_census.py::TestLastZeroWalk::test_tables_match_per_path_reference_past_one_run",
+            "tests/test_census.py::TestLastZeroWalk::test_matches_per_path_reference",
+        ],
+    ),
+    (
+        # a return to height 0 leaves the state's last vertex at 0 as it was;
+        # the tally and the walk's bytes share the rule and still agree
+        "walk.py",
+        "t if g == 0 else z",
+        "z",
+        [
+            "tests/test_census.py::TestLastZeroWalk::test_state_counts_cover_every_path",
+            "tests/test_census.py::TestLastZeroWalk::test_matches_per_path_reference",
+        ],
+    ),
+    (
+        # all_paths takes any length until its first path is drawn
+        "path.py",
+        "    _check_rank_length(length)\n    return map(unrank",
+        "    return map(unrank",
+        ["tests/test_path.py::TestRankUnrank::test_all_paths_checks_its_length_at_the_call"],
+    ),
 ]
 
 

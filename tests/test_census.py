@@ -119,7 +119,7 @@ class TestLastZeroWalk:
             assert [(lo, len(last)) for lo, last in chunks] == [(lo, run) for lo in range(0, 1 << length, run)]
             assert [v for _, last in chunks for v in last] == expected
 
-    @pytest.mark.parametrize("length", range(0, 23))
+    @pytest.mark.parametrize("length", range(0, 25))
     def test_tally_counts_the_walks_bytes(self, monkeypatch, length):
         # the tally counts what the per-code walk yields, odd lengths
         # included; chunk sizes 7, 8 and 40 change k, the number of low bits
@@ -130,6 +130,23 @@ class TestLastZeroWalk:
                 counts.update(last)
             assert sum(counts.values()) == 1 << length
             assert walk._last_zero_tally(length) == [counts[v] for v in range(length + 1)]
+
+    def test_state_counts_cover_every_path(self):
+        # each of the 2^t paths of t steps is in one state after its t
+        # steps, far past the prefix tables' 16 steps; the states and their
+        # counts are those of a recursion over (height, last vertex at 0)
+        # kept apart here
+        counts = Counter({(0, 0): 1})
+        for t in range(31):
+            steps, states = walk._states(t)
+            assert len(steps) == t and all(len(table) == 256 for pair in steps for table in pair)
+            assert sum(states.values()) == 1 << t
+            assert states == counts
+            following = Counter()
+            for (h, z), m in counts.items():
+                for g in (h - 1, h + 1):
+                    following[g, t + 1 if g == 0 else z] += m
+            counts = following
 
     def test_tally_multiplicities_cover_the_prefix_codes(self, monkeypatch):
         # the tally counts the prefix table's bytes once per state: every

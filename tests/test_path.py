@@ -13,6 +13,7 @@ from dyckflip import (
     ParseError,
     PathClass,
     RangeError,
+    all_paths,
     classify,
     concat,
     decompose,
@@ -325,6 +326,14 @@ class TestRankUnrank:
         assert (MAX_RANK_LENGTH, rank(top)) == (62, 2**62 - 1)
         with pytest.raises(RangeError):
             rank(concat(top, parse_path("U")))
+
+    def test_all_paths_checks_its_length_at_the_call(self):
+        # unrank's bound, refused before any path is drawn
+        for length in (-1, MAX_RANK_LENGTH + 1):
+            with pytest.raises(RangeError, match=rf"^length must be in \[0, 62\], got {length}$"):
+                all_paths(length)
+        assert list(all_paths(0)) == [LatticePath(())]
+        assert next(all_paths(MAX_RANK_LENGTH)) == parse_path("D" * 62)
 
     @pytest.mark.parametrize("length", range(0, 11))
     def test_bijection_on_small_lengths(self, length):
