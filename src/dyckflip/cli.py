@@ -135,16 +135,9 @@ def _write(chunks: Iterable[str]) -> None:
             data = data[buffer.write(data) :]
 
 
-def _field(value) -> str:
-    """A trace record's value on its key=value line: a point as i:h, and a
-    tuple of points or levels comma-separated."""
-    if isinstance(value, str):
-        return value
-    return ",".join(["%d:%d" % x if isinstance(x, tuple) else str(x) for x in value])
-
-
 def _run_map(args: argparse.Namespace) -> int:
     from .bijection import phi, phi_inverse
+    from .identity import _kv_text
     from .path import classify, format_path
 
     p = _read_path(args.path, args.alphabet)
@@ -164,7 +157,7 @@ def _run_map(args: argparse.Namespace) -> int:
 
         _write([json.dumps({"input": format_path(p, args.alphabet), "output": output, **record}), "\n"])
     else:
-        _write([output, "\n", *(f"{key}={_field(value)}\n" for key, value in record.items() if args.trace)])
+        _write([output, "\n", *(f"{key}={_kv_text(value)}\n" for key, value in record.items() if args.trace)])
     return 0
 
 

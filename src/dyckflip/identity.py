@@ -110,8 +110,11 @@ class IdentityReport(
 
 
 def _kv_text(value: object) -> str:
-    if isinstance(value, list):
-        return ",".join(map(str, value))
+    """A report's or a trace record's value as the text after `key=`: a
+    list or tuple comma-separated, an (i, h) point in it as i:h, and a bool
+    as true or false."""
+    if isinstance(value, (list, tuple)):
+        return ",".join(["%d:%d" % x if isinstance(x, tuple) else str(x) for x in value])
     return str(value).lower() if isinstance(value, bool) else str(value)
 
 

@@ -15,14 +15,16 @@ at 0 among them, and `_states` is the one recursion over states: step t
 takes each state of t - 1 steps, with its number of paths, to the two
 states that a down and an up step t lead to, and records the move as two
 256-entry `bytes.translate` tables from state index to state index. Up to
-30 steps there are at most 241 states, so an index fits one byte. The
-prefix table holds one byte per low part, the index of its state, folded
-from the first k step tables. A high part's suffix table follows every
-prefix state through the step tables of the high part's steps, down or up
-by its bits, and reads the final state's last vertex at 0: a 256-byte
-table from a prefix state to the whole path's last vertex at 0. The walk
-yields one run per high part, the 2^k codes that share it, and a run's
-last vertices are the prefix table translated by its high part's table.
+30 steps there are at most 241 states, so an index fits one byte. One
+`_states` pass over the whole length gives the walk both of its tables.
+The prefix table holds one byte per low part, the index of its state,
+folded from the pass's first k step tables. A high part's suffix table
+follows every prefix state through the pass's step tables of the high
+part's steps, down or up by its bits, and reads the final state's last
+vertex at 0: a 256-byte table from a prefix state to the whole path's
+last vertex at 0. The walk yields one run per high part, the 2^k codes
+that share it, and a run's last vertices are the prefix table translated
+by its high part's table.
 
 The structural identity and the bijection sweep's unbalanced count need
 only how many paths have each last vertex, and `_last_zero_tally` counts
@@ -47,7 +49,7 @@ def _last_zero(length: int) -> Iterator[Tuple[int, bytes]]:
     """(lo, last) per run of the 2^k codes with one high part, in rank
     order: last[r] is the last vertex at height 0 of the path of code
     lo + r, 0 if it never returns."""
-    k, keys, _, table = _suffix_tables(length)
+    k, keys, table = _suffix_tables(length)
     for high in range(1 << (length - k)):
         yield high << k, keys.translate(table(high))
 
@@ -61,15 +63,21 @@ def _low_bits(length: int) -> int:
     return min(length, max(_CHUNK.bit_length() - 1, (length + 1) // 2))
 
 
-def _suffix_tables(length: int) -> Tuple[int, bytes, int, Callable[[int], bytes]]:
-    """(k, keys, size, table): the prefix table of the low k bits, whose
-    bytes index its `size` states, and table(high), the 256-byte table
-    from the index of each of those states to the last vertex at 0 of the
-    path with that state and high part `high`. `_last_zero` reads it with
-    the prefix table."""
+def _suffix_tables(length: int) -> Tuple[int, bytes, Callable[[int], bytes]]:
+    """(k, keys, table): the prefix table of the low k bits, whose byte for
+    each code is the index of its state after k steps, and table(high), the
+    256-byte table from the index of each of those states to the last
+    vertex at 0 of the path with that state and high part `high`. One
+    `_states` pass gives both: the prefix table is folded from its first k
+    step tables, and table(high) follows the rest. `_last_zero` reads the
+    two together."""
     k = _low_bits(length)
-    keys, states = _prefix(k)
     steps, final = _states(length)
+    keys = b"\0"
+    for down, up in steps[:k]:
+        # the codes of one more step: those so far with that step down,
+        # then the same with it up
+        keys = keys.translate(down) + keys.translate(up)
     suffix = steps[k:]
     # a final state's last vertex at 0 is its path's; translate takes 256
     # entries, and no index is past the last state
@@ -86,7 +94,7 @@ def _suffix_tables(length: int) -> Tuple[int, bytes, int, Callable[[int], bytes]
             high >>= 1
         return index.translate(vertices)
 
-    return k, keys, len(states), table
+    return k, keys, table
 
 
 def _last_zero_tally(length: int) -> List[int]:
@@ -99,20 +107,6 @@ def _last_zero_tally(length: int) -> List[int]:
     for (_, vertex), m in _states(length)[1].items():
         tally[vertex] += m
     return tally
-
-
-def _prefix(k: int) -> Tuple[bytes, Dict[Tuple[int, int], int]]:
-    """(keys, states) of the codes of k steps: keys[code] is the index in
-    states of the pair (height after the k steps, last vertex at 0), and
-    states maps each pair, in the order of their indices, to its number of
-    codes. The table is folded from the k step tables of `_states`."""
-    steps, states = _states(k)
-    keys = b"\0"
-    for down, up in steps:
-        # the codes of one more step: those so far with that step down,
-        # then the same with it up
-        keys = keys.translate(down) + keys.translate(up)
-    return keys, states
 
 
 def _states(length: int) -> Tuple[List[Tuple[bytearray, bytearray]], Dict[Tuple[int, int], int]]:

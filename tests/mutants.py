@@ -188,6 +188,24 @@ MUTANTS: List[Tuple[str, str, str, List[str]]] = [
         "    return map(unrank",
         ["tests/test_path.py::TestRankUnrank::test_all_paths_checks_its_length_at_the_call"],
     ),
+    (
+        # the structural tally counts the per-code walk's bytes: the same
+        # numbers, read off a table per run and a byte per path
+        "walk.py",
+        "    for (_, vertex), m in _states(length)[1].items():\n        tally[vertex] += m\n",
+        "    for _, last in _last_zero(length):\n"
+        "        for vertex in range(length + 1):\n"
+        "            tally[vertex] += last.count(vertex)\n",
+        ["tests/test_census.py::TestVerifyIdentity::test_structural_chunk_determinism"],
+    ),
+    (
+        # enumerate lists the ne alphabet's paths in U and D; no test but
+        # the digests reads that listing
+        "cli.py",
+        'format_path(p, args.alphabet)}\\n" for p in enumerate_class',
+        'format_path(p)}\\n" for p in enumerate_class',
+        ["tests/test_cli.py::test_digests[enumerate]"],
+    ),
 ]
 
 

@@ -2,7 +2,7 @@ import dataclasses
 import json
 import sys
 import tracemalloc
-from collections import Counter
+from collections import Counter, deque
 from math import comb
 
 import numpy as np
@@ -154,17 +154,33 @@ class TestLastZeroWalk:
         for chunk in (7, 8, 40, 1 << 16):
             monkeypatch.setattr(walk, "_CHUNK", chunk)
             for length in range(31):
-                k, keys, size, _ = walk._suffix_tables(length)
+                k, keys, _ = walk._suffix_tables(length)
+                size = len(walk._states(k)[1])
                 assert len(keys) == 1 << k
                 assert sum(keys.count(s) for s in range(size)) == 1 << k
 
     def test_prefix_counts_are_the_tables_counts(self):
-        # the counts carried through the doubling are those of the table's
-        # bytes: each state has as many codes as bytes of its index
+        # the recursion's counts are those of the prefix table's bytes:
+        # each state of k steps has as many codes as bytes of its index
         for k in range(17):
-            keys, states = walk._prefix(k)
+            keys, states = walk._suffix_tables(k)[1], walk._states(k)[1]
             assert list(states.values()) == [keys.count(s) for s in range(len(states))]
             assert sum(states.values()) == 1 << k
+
+    def test_one_state_pass_per_walk(self, monkeypatch):
+        # the prefix and the suffix tables come from one run of the state
+        # recursion over the whole length
+        states, calls = walk._states, []
+
+        def counted(length):
+            calls.append(length)
+            return states(length)
+
+        monkeypatch.setattr(walk, "_states", counted)
+        for length in range(25):
+            calls.clear()
+            deque(walk._last_zero(length), maxlen=0)
+            assert calls == [length]
 
     def test_low_bits_floor_bounds_the_runs(self, monkeypatch):
         # however small the chunk size, k is at least half the length, so
@@ -185,7 +201,7 @@ class TestLastZeroWalk:
         # code's last vertex, here single codes and windows across the ends
         # of runs, which are 2^16 codes long at the default chunk size
         rng = np.random.default_rng(length)
-        k, keys, _, table = walk._suffix_tables(length)
+        k, keys, table = walk._suffix_tables(length)
         assert k == 16
         codes = [0, (1 << length) - 1, *rng.integers(0, 1 << length, 300).tolist()]
         for high in rng.integers(1, 1 << (length - k), 5).tolist():
@@ -211,7 +227,7 @@ class TestLastZeroWalk:
             states = sorted({(h + step, t if h + step == 0 else z) for h, z in states for step in (-1, 1)})
             assert len(states) <= 256
             if t <= 16:
-                keys, listed = walk._prefix(t)
+                keys, listed = walk._suffix_tables(t)[1], walk._states(t)[1]
                 assert sorted(listed) == states and len(set(keys)) == len(states)
         assert len(states) == 241
 
@@ -520,11 +536,16 @@ class TestVerifyIdentity:
         assert verify_identity(n, "structural").structural_tallies == expected
 
     def test_structural_chunk_determinism(self, monkeypatch):
-        reports = []
-        for chunk in (7, 8, 40, 1 << 16):
-            monkeypatch.setattr(walk, "_CHUNK", chunk)
-            reports.append(verify_identity(6, "structural").to_kv())
-        assert len(set(reports)) == 1
+        # the structural check reads its tally off the state recursion
+        # alone: no per-code table, so no run length, reaches it
+        expected = [verify_identity(n, "structural").to_kv() for n in range(9)]
+
+        def per_code(*args):
+            raise AssertionError("the structural check reads the per-code walk")
+
+        monkeypatch.setattr(walk, "_suffix_tables", per_code)
+        monkeypatch.setattr(walk, "_low_bits", per_code)
+        assert [verify_identity(n, "structural").to_kv() for n in range(9)] == expected
 
     def test_structural_at_the_cap(self):
         report = verify_identity(identity.MAX_STRUCTURAL_N, "structural")
@@ -532,9 +553,9 @@ class TestVerifyIdentity:
 
     def test_structural_peak_memory(self):
         # at the top n the tally keeps no buffer of one byte per path, of
-        # which there are 2^30: the peak, about 170 KB, is the build of the
-        # walk's 64 KB prefix table, whose last doubling holds the 32 KB
-        # table of 15 steps, its two translations and their join
+        # which there are 2^30, and builds no prefix table: the peak, about
+        # 96 KB, is the state recursion's 30 pairs of 256-byte step tables
+        # and its dicts of at most 241 states
         verify_identity(1, "structural")  # imports outside the trace
         tracemalloc.start()
         try:

@@ -15,6 +15,7 @@ from dyckflip.identity import MAX_ARITHMETIC_N, exact_int_str
 from dyckflip.cli import MAX_STDIN_CHARS, build_parser, main
 from dyckflip.path import format_path, parse_path
 from dyckflip.render import MAX_CELL_SIZE
+import digests
 from peak_reference import reference_decompose
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -48,6 +49,21 @@ def test_golden(capsys, argv, golden):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
+
+
+
+@pytest.mark.parametrize("command", sorted(digests.CHEAP))
+def test_digests(command):
+    # every byte of each report and listing against its sha256 in
+    # golden/digests.json, which `tests/digests.py write` records and no
+    # test writes; the costly argvs are CI's (`digests.py check --costly`)
+    expected = digests.load()
+    argvs = digests.CHEAP[command]
+    assert [digests.key(argv) for argv in argvs if expected[digests.key(argv)] != digests.digest(argv)] == []
+
+
+def test_digests_file_lists_every_argv():
+    assert sorted(digests.load()) == sorted(map(digests.key, digests.every_argv()))
 
 
 class TestExitCodes:
