@@ -1,6 +1,6 @@
 """Exhaustive verification over the rank space, with numpy. The identity,
-its report and the bounds live in `identity`, and the all-codes walk in
-`walk`; neither loads numpy, and the walk loads nothing of this package.
+its report, the bounds and the state tally live in `identity`, which loads
+no numpy and nothing of this package.
 
 The partial-reflection map is a bijection between balanced and unbalanced
 paths of each even length, verified by sweeping the whole rank space:
@@ -11,17 +11,23 @@ inverse and the map is one-to-one; its domain mask makes every image
 unbalanced, and as many distinct images as there are unbalanced paths are
 all of them, so the counts prove that the map is onto.
 
-One walk over all codes, a run of codes at a time, gives each path's last
-vertex at height 0 as one byte (`walk._last_zero`). `_class_codes` is the
-one reader of those bytes: it selects the codes of a class off an int8
-view of each run's bytes, a path being balanced iff that is its last
-vertex, unbalanced iff its first. `enumerate_class` and the bijection
-sweep both iterate it, and `path.unrank_rows` decodes the codes it gives
-into int8 step rows. The sweep runs the rows of the balanced codes
-through the row kernels of `bijection`, forward and back, which phi and
-phi_inverse run on one row; its unbalanced count is the walk's tally at
-vertex 0 (`walk._last_zero_tally`), the count the structural identity
-reports. It returns a `CensusReport`.
+The census reads the codes a run at a time: a run is the 2^k codes that
+share one high part, k = `_low_bits(length)`. A path's code has bit j set
+iff step j is Up, so its low k bits are its first k steps and its high
+bits the rest. Each half of a code is summed up by three heights, from
+its own start: where it ends, and the lowest and highest it reaches after
+its start (`_half_stats`, one table per half, built by doubling with no
+code decoded). `_class_codes` classifies each run from them, in classify's
+precedence: a path is balanced iff its two ends sum to 0, up-unbalanced
+iff its low half stays above 0 and its high half above minus the low
+half's end, down-unbalanced likewise below, and Other else.
+`enumerate_class` and the bijection sweep both iterate `_class_codes`,
+and `path.unrank_rows` decodes the codes it gives into int8 step rows.
+The sweep runs the rows of the balanced codes through the row kernels of
+`bijection`, forward and back, which phi and phi_inverse run on one row;
+its unbalanced count is the state tally at vertex 0
+(`identity._last_zero_tally`), the count the structural identity reports.
+It returns a `CensusReport`.
 """
 
 from __future__ import annotations
@@ -35,9 +41,13 @@ import numpy as np
 
 from .bijection import phi_inverse_rows, phi_rows
 from .errors import OddLengthError, RangeError
-from .identity import MAX_BIJECTION_N, _Report, identity_lhs
+from .identity import MAX_BIJECTION_N, _last_zero_tally, _Report, identity_lhs
 from .path import LatticePath, PathClass, unrank_rows
-from .walk import _last_zero, _last_zero_tally
+
+# sets the run length of `_class_codes`: a run holds 2^k codes, where k is
+# its bit length less one as `_low_bits` raises and caps it; any value
+# gives the same reports, and a run bounds the memory of its codes and rows
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -83,31 +93,62 @@ def enumerate_class(length: int, cls: Optional[PathClass] = None) -> Iterator[La
     """All paths of the given length matching the class filter, in rank order."""
     if not 0 <= length <= 30:
         raise RangeError(f"length must be in [0, 30], got {length}")
+    if cls is not None and not isinstance(cls, PathClass):
+        raise ValueError(f"class filter must be None or a PathClass, got {cls!r}")
     for codes in _class_codes(length, cls):
         # each row's bytes from a view of the row, not from one copy of the
         # run's rows, which would hold both at once
         yield from map(LatticePath._trusted, map(np.ndarray.tobytes, unrank_rows(codes, length)))
 
 
-def _class_codes(length: int, cls: Optional[PathClass]) -> Iterator[np.ndarray]:
-    """The codes of class cls, every code if cls is None, of each run of
-    the all-codes walk in turn, in rank order: one int32 array per run.
+def _low_bits(length: int) -> int:
+    """k, the number of low bits of a code: a run holds 2^k codes. It is
+    `_CHUNK`'s bit length less one, raised to half the length, so that no
+    patched `_CHUNK`, however small, leaves more than 2^15 runs, and capped
+    at the length."""
+    return min(length, max(_CHUNK.bit_length() - 1, (length + 1) // 2))
 
-    A code's class comes off its last visit to height 0, in classify's
-    precedence: balanced if that is the last vertex, else up or down
-    unbalanced by the first step if it is the first, else Other.
+
+def _half_stats(bits: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(end, low, high): for each code of `bits` steps, in rank order, its
+    path's end height and its lowest and highest height after its start,
+    as int8. The empty path has no height after its start: its low is 127
+    and its high -127, above and below any height, so it bounds nothing."""
+    end = np.zeros(1, np.int8)
+    low, high = end + 127, end - 127
+    for _ in range(bits):
+        # the codes of one more step: those so far with that step down,
+        # then the same codes with it up
+        down, up = end - 1, end + 1
+        low = np.concatenate((np.minimum(low, down), np.minimum(low, up)))
+        high = np.concatenate((np.maximum(high, down), np.maximum(high, up)))
+        end = np.concatenate((down, up))
+    return end, low, high
+
+
+def _class_codes(length: int, cls: Optional[PathClass]) -> Iterator[np.ndarray]:
+    """The codes of class cls, every code if cls is None, of each run in
+    turn, in rank order: one int32 array per run.
+
+    A path is its low half, then its high half from the low half's end.
+    So it ends at 0 iff the two ends sum to 0, and it stays above 0 after
+    its start iff its low half does and its high half stays above minus
+    the low half's end; below likewise. The classes are classify's, in
+    its precedence: the empty path is balanced, not up-unbalanced.
     """
-    for lo, last in _last_zero(length):
-        last = np.frombuffer(last, np.int8)
-        codes = np.arange(lo, lo + len(last), dtype=np.int32)
-        if cls is PathClass.BALANCED:
-            # the sweep's class: one comparison, with no array of every
-            # code's class to raise the sweep's peak memory
-            codes = codes[last == length]
-        elif cls is not None:
-            # the index of each class in PathClass: balanced, up, down, other
-            kind = np.where(last == length, 0, np.where(last == 0, 2 - (codes & 1), 3))
-            codes = codes[kind == list(PathClass).index(cls)]
+    k = _low_bits(length)
+    end, low, high = _half_stats(k)
+    # the low halves that stay above, or below, 0 after their start; the
+    # empty one ends at 0 and is in neither
+    above, below = (low > 0) & (end != 0), (high < 0) & (end != 0)
+    for h, (e, h_low, h_high) in enumerate(zip(*(stats.tolist() for stats in _half_stats(length - k)))):
+        codes = np.arange(h << k, (h + 1) << k, dtype=np.int32)
+        if cls is not None:
+            balanced = end == -e
+            up, down = above & (end > -h_low), below & (end < -h_high)
+            # each class's mask, in the order of PathClass
+            masks = dict(zip(PathClass, (balanced, up, down, ~(balanced | up | down))))
+            codes = codes[masks[cls]]
         yield codes
 
 
@@ -115,8 +156,8 @@ def verify_bijection(n: int) -> CensusReport:
     """Sweep all 2^(2n) paths and verify the bijection exhaustively.
 
     The two classes are counted apart. balanced_count is the number of
-    codes the sweep decodes and maps: the all-codes walk's balanced codes,
-    a run at a time. unbalanced_count is the walk's tally of the paths that
+    codes the sweep decodes and maps: the balanced codes of `_class_codes`,
+    a run at a time. unbalanced_count is the state tally of the paths that
     never return to height 0, as the structural identity reports it: a
     count over every path, carried by (height, last vertex at 0) state a
     step at a time, in which phi plays no part. The balanced paths of each

@@ -7,15 +7,20 @@ term n-i, so it sums the lower half and doubles it. Structural mode splits
 every length-2n path at its last visit to height 0, which buckets the 4^n
 paths into exactly C(2i,i)*C(2n-2i,n-i) per prefix half-length i.
 
+The structural tally counts paths by state and keeps none of them: a
+path's state after t steps is its height and its last vertex at 0 among
+them, and `_states` is the one recursion over states. Step t takes each
+state of t - 1 steps, with its number of paths, to the two states that a
+down and an up step t lead to. Each of the 2^length paths ends in one
+state, whose last vertex at 0 is the path's, so `_last_zero_tally` adds
+each final state's count to its vertex. The bijection sweep of `census`
+reads the same tally for its unbalanced count.
+
 Both checks return an `IdentityReport`, a named tuple; the bijection sweep
 of `census` returns a `CensusReport`, a frozen dataclass with the same
 fields. The two share their verdict and text forms through `_Report`. This
-module imports neither numpy nor `dataclasses`, and neither mode loads
-them: the structural branch imports the all-codes walk of `walk`, which
-imports no numpy, when it first runs, and nothing else of the package. It
-tallies the last vertices by state: the walk's recursion over (height,
-last vertex at 0) carries each state's number of paths a step at a time,
-and each state of the 2n steps adds its count to its last vertex.
+module imports neither numpy nor `dataclasses` nor any other module of
+the package but `errors`, so neither mode loads them.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import time
 from collections import namedtuple
 from contextlib import contextmanager
 from math import comb
-from typing import Iterator, Literal
+from typing import Dict, Iterator, List, Literal, Tuple
 
 from .errors import RangeError
 
@@ -152,14 +157,40 @@ def _convolution(n: int, t: int) -> int:
     return 2 * total + (2 * t if n % 2 else t)
 
 
+def _last_zero_tally(length: int) -> List[int]:
+    """tally[v]: the number of paths of `length` steps whose last vertex at
+    height 0 is v, 0 if they never return. Each path ends in one state of
+    `_states`, whose last vertex at 0 is its own, so each final state adds
+    its number of paths to its vertex."""
+    tally = [0] * (length + 1)
+    for (_, vertex), m in _states(length).items():
+        tally[vertex] += m
+    return tally
+
+
+def _states(length: int) -> Dict[Tuple[int, int], int]:
+    """Each state of `length` steps, the pair (height, last vertex at 0),
+    and its number of paths."""
+    states = {(0, 0): 1}
+    for t in range(1, length + 1):
+        # a state of t steps has the paths of its parents of t - 1 steps
+        following = {}
+        for (h, z), m in states.items():
+            for g in (h - 1, h + 1):
+                state = (g, t if g == 0 else z)
+                following[state] = following.get(state, 0) + m
+        states = following
+    return states
+
+
 def verify_identity(n: int, mode: IdentityMode = "arithmetic") -> IdentityReport:
     """Check the central-binomial convolution identity for one n.
 
     Arithmetic mode evaluates both sides with exact integers, each term of
     the sum from the one before by their ratio. Structural mode tallies the
-    4^n paths by their last visit to height 0, counted by the all-codes
-    walk's recursion over (height, last vertex at 0) states, a step at a
-    time, with no byte per path. It compares the tallies, by prefix
+    4^n paths by their last visit to height 0, counted by the recursion
+    over (height, last vertex at 0) states, a step at a time, with nothing
+    kept per path. It compares the tallies, by prefix
     half-length, with the binomial products.
     """
     start = time.perf_counter()
@@ -174,9 +205,6 @@ def verify_identity(n: int, mode: IdentityMode = "arithmetic") -> IdentityReport
     elif not 0 <= n <= MAX_STRUCTURAL_N:
         raise RangeError(f"structural mode requires n in [0, {MAX_STRUCTURAL_N}], got {n}")
     else:
-        # the walk loads on the first structural check only
-        from .walk import _last_zero_tally
-
         # the paths by their last vertex at 0, twice their prefix half-length;
         # none is at an odd vertex, and one counted there would leave the sum
         # short of 4^n

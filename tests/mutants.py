@@ -61,8 +61,8 @@ MUTANTS: List[Tuple[str, str, str, List[str]]] = [
         ["tests/test_render.py::TestPolylineNearInt32"],
     ),
     (
-        # each prefix state counts once, not once per prefix code
-        "walk.py",
+        # each final state counts once, not once per path
+        "identity.py",
         "tally[vertex] += m",
         "tally[vertex] += 1",
         ["tests/test_census.py::TestLastZeroWalk::test_tally_counts_the_walks_bytes"],
@@ -95,16 +95,6 @@ MUTANTS: List[Tuple[str, str, str, List[str]]] = [
         ["tests/test_cli.py::TestBrokenPipe::test_short_write_is_followed_to_the_closed_pipe"],
     ),
     (
-        # each run of the walk reads the table of another high part
-        "walk.py",
-        "keys.translate(table(high))",
-        "keys.translate(table(high >> 1))",
-        [
-            "tests/test_census.py::TestLastZeroWalk::test_matches_per_path_reference",
-            "tests/test_acceptance.py::test_criterion_8_chunk_determinism",
-        ],
-    ),
-    (
         # validate compares the parts but not the peak lists
         "bijection.py",
         'peaks = (("indices", d.peak_indices, e.peak_indices), ("heights", d.peak_heights, e.peak_heights))',
@@ -113,7 +103,7 @@ MUTANTS: List[Tuple[str, str, str, List[str]]] = [
     ),
     (
         # a small chunk size leaves 2^20 runs at length 30
-        "walk.py",
+        "census.py",
         "(length + 1) // 2",
         "(length + 1) // 3",
         ["tests/test_census.py::TestLastZeroWalk::test_low_bits_floor_bounds_the_runs"],
@@ -140,45 +130,55 @@ MUTANTS: List[Tuple[str, str, str, List[str]]] = [
         ["tests/test_path.py::TestRankUnrank::test_longest"],
     ),
     (
-        # the census reader swaps the up- and down-unbalanced classes
+        # a low half that comes back to 0 counts as staying above it
         "census.py",
-        "2 - (codes & 1)",
-        "1 + (codes & 1)",
-        ["tests/test_census.py::TestClassCodes::test_classes_partition_each_run[2]"],
+        "(low > 0) & (end != 0)",
+        "(low >= 0) & (end != 0)",
+        ["tests/test_census.py::TestClassCodes::test_classes_partition_each_run[3]"],
     ),
     (
-        # the sweep's unbalanced count is the walk's tally of balanced paths
+        # the empty path is up- and down-unbalanced as well as balanced
+        "census.py",
+        "above, below = (low > 0) & (end != 0), (high < 0) & (end != 0)",
+        "above, below = low > 0, high < 0",
+        ["tests/test_census.py::TestClassCodes::test_classes_partition_each_run[0]"],
+    ),
+    (
+        # a path whose high half comes back to 0 at its end is down-unbalanced
+        "census.py",
+        "end < -h_high",
+        "end <= -h_high",
+        ["tests/test_census.py::TestClassCodes::test_classes_partition_each_run[4]"],
+    ),
+    (
+        # a half's lowest height after an up step is taken as if it went down
+        "census.py",
+        "np.minimum(low, up)",
+        "np.minimum(low, down)",
+        ["tests/test_census.py::TestLastZeroWalk::test_matches_per_path_reference[2]"],
+    ),
+    (
+        # the sweep's unbalanced count is the state tally's count of balanced paths
         "census.py",
         "_last_zero_tally(length)[0]",
         "_last_zero_tally(length)[-1]",
         ["tests/test_census.py::TestVerifyBijection::test_unbalanced_count_is_the_tallys"],
     ),
     (
-        # a prefix state's number of codes comes from its down parent only
-        "walk.py",
-        "count[i] += m",
-        "count[i] += m * (table is down)",
-        ["tests/test_census.py::TestLastZeroWalk::test_prefix_counts_are_the_tables_counts"],
+        # a state's number of paths comes from its down parent only
+        "identity.py",
+        "following.get(state, 0) + m",
+        "following.get(state, 0) + m * (g < h)",
+        ["tests/test_census.py::TestLastZeroWalk::test_state_counts_cover_every_path"],
     ),
     (
-        # each suffix step moves the states by the other step's table
-        "walk.py",
-        "up if high & 1 else down",
-        "down if high & 1 else up",
-        [
-            "tests/test_census.py::TestLastZeroWalk::test_tables_match_per_path_reference_past_one_run",
-            "tests/test_census.py::TestLastZeroWalk::test_matches_per_path_reference",
-        ],
-    ),
-    (
-        # a return to height 0 leaves the state's last vertex at 0 as it was;
-        # the tally and the walk's bytes share the rule and still agree
-        "walk.py",
+        # a return to height 0 leaves the state's last vertex at 0 as it was
+        "identity.py",
         "t if g == 0 else z",
         "z",
         [
             "tests/test_census.py::TestLastZeroWalk::test_state_counts_cover_every_path",
-            "tests/test_census.py::TestLastZeroWalk::test_matches_per_path_reference",
+            "tests/test_census.py::TestLastZeroWalk::test_tally_counts_the_walks_bytes",
         ],
     ),
     (
@@ -187,16 +187,6 @@ MUTANTS: List[Tuple[str, str, str, List[str]]] = [
         "    _check_rank_length(length)\n    return map(unrank",
         "    return map(unrank",
         ["tests/test_path.py::TestRankUnrank::test_all_paths_checks_its_length_at_the_call"],
-    ),
-    (
-        # the structural tally counts the per-code walk's bytes: the same
-        # numbers, read off a table per run and a byte per path
-        "walk.py",
-        "    for (_, vertex), m in _states(length)[1].items():\n        tally[vertex] += m\n",
-        "    for _, last in _last_zero(length):\n"
-        "        for vertex in range(length + 1):\n"
-        "            tally[vertex] += last.count(vertex)\n",
-        ["tests/test_census.py::TestVerifyIdentity::test_structural_chunk_determinism"],
     ),
     (
         # enumerate lists the ne alphabet's paths in U and D; no test but

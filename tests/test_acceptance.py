@@ -13,6 +13,7 @@ from pathlib import Path
 from dyckflip import (
     LatticePath,
     PathClass,
+    census,
     classify,
     compose_law_check,
     decompose,
@@ -25,7 +26,6 @@ from dyckflip import (
     unrank,
     verify_bijection,
     verify_identity,
-    walk,
 )
 from dyckflip.identity import MAX_STRUCTURAL_N, identity_lhs
 from dyckflip.cli import main
@@ -146,7 +146,7 @@ def test_criterion_7_decomposition_roundtrip():
 def test_criterion_8_chunk_determinism(monkeypatch):
     reports = []
     for chunk in (7, 8, 40, 1 << 16):
-        monkeypatch.setattr(walk, "_CHUNK", chunk)
+        monkeypatch.setattr(census, "_CHUNK", chunk)
         reports.append(verify_bijection(8).to_kv())
     report("8 determinism under chunk size", len(set(reports)) == 1)
 

@@ -289,14 +289,16 @@ class TestComposeLaw:
         assert compose_law_check(parse_path("UD"), LatticePath(()))
 
     def test_precondition_errors(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="^t1 must be nonempty$"):
             compose_law_check(LatticePath(()), parse_path("UD"))
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="^t1 must start with an upstep$"):
             compose_law_check(parse_path("DU"), parse_path("UD"))
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="^t1 must be balanced$"):
             compose_law_check(parse_path("UU"), parse_path("UD"))
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="^t2 must not be higher than t1$"):
             compose_law_check(parse_path("UD"), parse_path("UUDD"))
+        with pytest.raises(PreconditionError, match="^t2 must be balanced$"):
+            compose_law_check(parse_path("UD"), parse_path("UU"))
 
     def test_exhaustive_small(self):
         balanced = {

@@ -2,7 +2,7 @@ import dataclasses
 import json
 import sys
 import tracemalloc
-from collections import Counter, deque
+from collections import Counter
 from math import comb
 
 import numpy as np
@@ -31,7 +31,6 @@ from dyckflip import (
     unrank,
     verify_bijection,
     verify_identity,
-    walk,
 )
 from peak_reference import reference_last_zero_touch
 
@@ -106,130 +105,98 @@ class TestSplitting:
         assert len(seen) == 1 << length
 
 
+def reference_states(length):
+    """The states of `length` steps, (height, last vertex at 0), with their
+    numbers of paths: a recursion kept apart from the library's."""
+    counts = Counter({(0, 0): 1})
+    for t in range(1, length + 1):
+        following = Counter()
+        for (h, z), m in counts.items():
+            for g in (h - 1, h + 1):
+                following[g, t if g == 0 else z] += m
+        counts = following
+    return counts
+
+
+def reference_half_stats(bits, code):
+    """The end height of the path of a code of `bits` steps, and its lowest
+    and highest height after its start, 127 and -127 if it has none."""
+    h = unrank(bits, code).heights
+    return h[-1], min(h[1:], default=127), max(h[1:], default=-127)
+
+
 class TestLastZeroWalk:
     @pytest.mark.parametrize("length", range(0, 17))
-    def test_matches_per_path_reference(self, monkeypatch, length):
-        expected = [reference_last_zero_touch(unrank(length, code).steps) for code in range(1 << length)]
-        for chunk in (7, 8, 40, 1 << 16):
-            monkeypatch.setattr(walk, "_CHUNK", chunk)
-            chunks = list(walk._last_zero(length))
-            assert all(type(last) is bytes for _, last in chunks)
-            # one run of 2^k codes per high part, k as the chunk size sets it
-            run = 1 << walk._low_bits(length)
-            assert [(lo, len(last)) for lo, last in chunks] == [(lo, run) for lo in range(0, 1 << length, run)]
-            assert [v for _, last in chunks for v in last] == expected
+    def test_matches_per_path_reference(self, length):
+        # every code of a half of up to 16 steps, the longest low half at
+        # the default chunk size, in rank order
+        expected = [reference_half_stats(length, code) for code in range(1 << length)]
+        stats = census._half_stats(length)
+        assert all(s.dtype == np.int8 and len(s) == 1 << length for s in stats)
+        assert list(zip(*(s.tolist() for s in stats))) == expected
 
     @pytest.mark.parametrize("length", range(0, 25))
-    def test_tally_counts_the_walks_bytes(self, monkeypatch, length):
-        # the tally counts what the per-code walk yields, odd lengths
-        # included; chunk sizes 7, 8 and 40 change k, the number of low bits
-        for chunk in (1 << 16, 7, 8, 40) if length <= 16 else (1 << 16,):
-            monkeypatch.setattr(walk, "_CHUNK", chunk)
+    def test_tally_counts_the_walks_bytes(self, length):
+        # the tally counts each path's last vertex at 0, odd lengths
+        # included: per path up to 16 steps, and past them, where every
+        # path would take too long, by the states of a recursion kept here
+        if length <= 16:
+            counts = Counter(reference_last_zero_touch(unrank(length, code).steps) for code in range(1 << length))
+        else:
             counts = Counter()
-            for _, last in walk._last_zero(length):
-                counts.update(last)
-            assert sum(counts.values()) == 1 << length
-            assert walk._last_zero_tally(length) == [counts[v] for v in range(length + 1)]
+            for (_, vertex), m in reference_states(length).items():
+                counts[vertex] += m
+        assert sum(counts.values()) == 1 << length
+        assert identity._last_zero_tally(length) == [counts[v] for v in range(length + 1)]
 
     def test_state_counts_cover_every_path(self):
         # each of the 2^t paths of t steps is in one state after its t
-        # steps, far past the prefix tables' 16 steps; the states and their
-        # counts are those of a recursion over (height, last vertex at 0)
-        # kept apart here
-        counts = Counter({(0, 0): 1})
+        # steps; the states and their counts are those of a recursion over
+        # (height, last vertex at 0) kept apart here
         for t in range(31):
-            steps, states = walk._states(t)
-            assert len(steps) == t and all(len(table) == 256 for pair in steps for table in pair)
+            states = identity._states(t)
             assert sum(states.values()) == 1 << t
-            assert states == counts
-            following = Counter()
-            for (h, z), m in counts.items():
-                for g in (h - 1, h + 1):
-                    following[g, t + 1 if g == 0 else z] += m
-            counts = following
-
-    def test_tally_multiplicities_cover_the_prefix_codes(self, monkeypatch):
-        # the tally counts the prefix table's bytes once per state: every
-        # byte is the index of one of its states, so the counts sum to 2^k
-        for chunk in (7, 8, 40, 1 << 16):
-            monkeypatch.setattr(walk, "_CHUNK", chunk)
-            for length in range(31):
-                k, keys, _ = walk._suffix_tables(length)
-                size = len(walk._states(k)[1])
-                assert len(keys) == 1 << k
-                assert sum(keys.count(s) for s in range(size)) == 1 << k
-
-    def test_prefix_counts_are_the_tables_counts(self):
-        # the recursion's counts are those of the prefix table's bytes:
-        # each state of k steps has as many codes as bytes of its index
-        for k in range(17):
-            keys, states = walk._suffix_tables(k)[1], walk._states(k)[1]
-            assert list(states.values()) == [keys.count(s) for s in range(len(states))]
-            assert sum(states.values()) == 1 << k
-
-    def test_one_state_pass_per_walk(self, monkeypatch):
-        # the prefix and the suffix tables come from one run of the state
-        # recursion over the whole length
-        states, calls = walk._states, []
-
-        def counted(length):
-            calls.append(length)
-            return states(length)
-
-        monkeypatch.setattr(walk, "_states", counted)
-        for length in range(25):
-            calls.clear()
-            deque(walk._last_zero(length), maxlen=0)
-            assert calls == [length]
+            assert states == reference_states(t)
 
     def test_low_bits_floor_bounds_the_runs(self, monkeypatch):
         # however small the chunk size, k is at least half the length, so
         # no length up to 30 leaves more than 2^15 runs
         for chunk in (1, 2):
-            monkeypatch.setattr(walk, "_CHUNK", chunk)
+            monkeypatch.setattr(census, "_CHUNK", chunk)
             for length in range(31):
-                assert 1 << (length - walk._low_bits(length)) <= 1 << 15
+                assert 1 << (length - census._low_bits(length)) <= 1 << 15
 
     def test_chunk_lives_with_the_walk(self):
-        # a stale patch of census._CHUNK then raises, where it would
-        # otherwise leave the walk's chunk size as it was
-        assert not hasattr(census, "_CHUNK")
+        # the run length is the census's alone: a stale patch of
+        # identity._CHUNK then raises, where it would otherwise leave the
+        # census's runs as they were
+        assert not hasattr(identity, "_CHUNK")
 
     @pytest.mark.parametrize("length", range(17, 31))
     def test_tables_match_per_path_reference_past_one_run(self, length):
-        # a whole walk of 2^30 codes takes seconds; the tables give any
-        # code's last vertex, here single codes and windows across the ends
-        # of runs, which are 2^16 codes long at the default chunk size
+        # a whole census of 2^30 codes takes seconds; the two halves'
+        # tables give any code's class, here single codes and windows
+        # across the ends of runs, which are 2^16 codes long at the default
+        # chunk size
         rng = np.random.default_rng(length)
-        k, keys, table = walk._suffix_tables(length)
+        k = census._low_bits(length)
         assert k == 16
         codes = [0, (1 << length) - 1, *rng.integers(0, 1 << length, 300).tolist()]
         for high in rng.integers(1, 1 << (length - k), 5).tolist():
             codes += range((high << k) - 40, (high << k) + 40)
+        low, high = census._half_stats(k), census._half_stats(length - k)
         for code in codes:
-            last = table(code >> k)[keys[code & ((1 << k) - 1)]]
-            assert last == reference_last_zero_touch(unrank(length, code).steps)
+            lo, hi = code & ((1 << k) - 1), code >> k
+            assert tuple(s[lo] for s in low) == reference_half_stats(k, lo)
+            assert tuple(s[hi] for s in high) == reference_half_stats(length - k, hi)
         if length <= 24:
-            # the walk yields each run's first code and its bytes, in order
-            runs = [(high << k, keys.translate(table(high))) for high in range(1 << (length - k))]
-            assert list(walk._last_zero(length)) == runs
-
-    def test_prefix_states_fit_one_byte(self, monkeypatch):
-        # a state's index is a byte of the prefix table and of the step
-        # tables, which translate indexes by byte; k is at most the length,
-        # whatever the chunk size, and the walk's lengths go to 30
-        for chunk in (1, 7, 8, 40, 1 << 16, 1 << 40):
-            monkeypatch.setattr(walk, "_CHUNK", chunk)
-            assert all(walk._low_bits(length) <= length for length in range(31))
-        # the states after t steps: (height, last vertex at 0)
-        states = [(0, 0)]
-        for t in range(1, 31):
-            states = sorted({(h + step, t if h + step == 0 else z) for h, z in states for step in (-1, 1)})
-            assert len(states) <= 256
-            if t <= 16:
-                keys, listed = walk._suffix_tables(t)[1], walk._states(t)[1]
-                assert sorted(listed) == states and len(set(keys)) == len(states)
-        assert len(states) == 241
+            # the class each code is listed under is classify's
+            wanted = np.array(codes, dtype=np.int32)
+            listed = {}
+            for cls in PathClass:
+                for run in census._class_codes(length, cls):
+                    listed.update(dict.fromkeys(run[np.isin(run, wanted)].tolist(), cls))
+            assert listed == {code: classify(unrank(length, code)) for code in codes}
 
 
 class TestEnumerateClass:
@@ -253,9 +220,17 @@ class TestEnumerateClass:
         with pytest.raises(RangeError):
             next(enumerate_class(31))
 
+    def test_class_filter_must_be_a_path_class(self):
+        # a class's name or value is not its member: it raises on the first
+        # path drawn, as the range check does, and lists no class's paths
+        for cls in ("Balanced", "BALANCED", 0):
+            paths = enumerate_class(4, cls)
+            with pytest.raises(ValueError, match=rf"^class filter must be None or a PathClass, got {cls!r}$"):
+                next(paths)
+
     @pytest.mark.parametrize("length", range(0, 15))
     def test_matches_classify_filter(self, length):
-        # per-path reference that does not use the all-codes walk
+        # per-path reference that does not use the census's tables
         paths = list(all_paths(length))
         classes = [classify(p) for p in paths]
         for cls in (None, *PathClass):
@@ -264,7 +239,7 @@ class TestEnumerateClass:
 
     @pytest.mark.parametrize("length", [15, 16, 17, 24, 25, 30])
     def test_rows_match_unrank_past_two_bytes(self, length):
-        # the walk's lengths go to 30: codes of up to four bytes
+        # the census's lengths go to 30: codes of up to four bytes
         rng = np.random.default_rng(length)
         codes = [0, 1, (1 << length) - 1, *rng.integers(0, 1 << length, 200).tolist()]
         rows = path.unrank_rows(np.array(codes, dtype=np.int32), length)
@@ -274,7 +249,7 @@ class TestEnumerateClass:
     def test_chunk_determinism(self, monkeypatch):
         outputs = []
         for chunk in (7, 8, 40, 1 << 16):
-            monkeypatch.setattr(walk, "_CHUNK", chunk)
+            monkeypatch.setattr(census, "_CHUNK", chunk)
             outputs.append([list(enumerate_class(10, cls)) for cls in (None, *PathClass)])
         assert all(out == outputs[0] for out in outputs)
 
@@ -292,11 +267,12 @@ class TestEnumerateClass:
 class TestClassCodes:
     @pytest.mark.parametrize("length", range(0, 17))
     def test_classes_partition_each_run(self, monkeypatch, length):
-        # per-path reference that does not use the all-codes walk
+        # per-path reference that does not use the census's tables
         classes = [classify(unrank(length, code)) for code in range(1 << length)]
-        for chunk in (1, 2, walk._CHUNK):
-            monkeypatch.setattr(walk, "_CHUNK", chunk)
-            runs = [(lo, len(last)) for lo, last in walk._last_zero(length)]
+        for chunk in (1, 2, 7, 8, 40, census._CHUNK):
+            monkeypatch.setattr(census, "_CHUNK", chunk)
+            run = 1 << census._low_bits(length)
+            runs = [(lo, run) for lo in range(0, 1 << length, run)]
             readers = zip(*(census._class_codes(length, cls) for cls in (None, *PathClass)), strict=True)
             for (lo, size), (every, *by_class) in zip(runs, readers, strict=True):
                 # every code once, and each class's codes in rank order;
@@ -376,7 +352,7 @@ class TestVerifyBijection:
             ud = np.tile(np.array([1, -1], dtype=np.int8), (len(rows), 1))
             return np.hstack([ud, orig(rows[:, 2:])[0]]), None
 
-        monkeypatch.setattr(walk, "_CHUNK", chunk)
+        monkeypatch.setattr(census, "_CHUNK", chunk)
         monkeypatch.setattr(census, "phi_rows", stub)
         report = verify_bijection(n)
         assert not report.bijection_ok
@@ -410,7 +386,7 @@ class TestVerifyBijection:
     def test_collision_caught_by_round_trip(self, monkeypatch, chunk, make_stub, failures):
         # the balanced codes of n = 2 are 3, 5, 6 | 9, 10, 12 in chunks of 8;
         # a path whose image repeats an earlier one maps back to that one
-        monkeypatch.setattr(walk, "_CHUNK", chunk)
+        monkeypatch.setattr(census, "_CHUNK", chunk)
         monkeypatch.setattr(census, "phi_rows", make_stub(census.phi_rows))
         report = verify_bijection(2)
         assert not report.bijection_ok
@@ -431,13 +407,13 @@ class TestVerifyBijection:
     def test_chunk_determinism(self, monkeypatch):
         reports = []
         for chunk in (7, 8, 40, 1 << 16):
-            monkeypatch.setattr(walk, "_CHUNK", chunk)
+            monkeypatch.setattr(census, "_CHUNK", chunk)
             reports.append(verify_bijection(4).to_kv())
         assert len(set(reports)) == 1
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_counts_match_classify(self, n):
-        # per-path reference that does not use the all-codes walk
+        # per-path reference that does not use the census's tables
         classes = Counter(classify(p) for p in all_paths(2 * n))
         report = verify_bijection(n)
         assert report.balanced_count == classes[PathClass.BALANCED]
@@ -448,8 +424,8 @@ class TestVerifyBijection:
     @pytest.mark.parametrize("n", range(1, identity.MAX_BIJECTION_N + 1))
     def test_counts_match_the_tally(self, n):
         # the balanced paths decoded and mapped, and the unbalanced ones the
-        # walk tallies at vertex 0, are the tally's two ends
-        tally = walk._last_zero_tally(2 * n)
+        # state tally counts at vertex 0, are the tally's two ends
+        tally = identity._last_zero_tally(2 * n)
         report = verify_bijection(n)
         assert (report.balanced_count, report.unbalanced_count) == (tally[2 * n], tally[0])
 
@@ -457,7 +433,7 @@ class TestVerifyBijection:
         # a tally one path over at vertex 0: the sweep reports that count,
         # apart from the balanced paths it maps, and the verdict fails
         def tally(length):
-            counts = walk._last_zero_tally(length)
+            counts = identity._last_zero_tally(length)
             return [counts[0] + 1, *counts[1:]]
 
         monkeypatch.setattr(census, "_last_zero_tally", tally)
@@ -473,8 +449,8 @@ class TestVerifyBijection:
             verify_bijection(99)
 
     def test_largest_n_in_range(self, monkeypatch):
-        # the range check alone: a walk that yields no run sweeps nothing
-        monkeypatch.setattr(census, "_last_zero", lambda length: iter(()))
+        # the range check alone: a census that yields no run sweeps nothing
+        monkeypatch.setattr(census, "_class_codes", lambda length, cls: iter(()))
         assert verify_bijection(identity.MAX_BIJECTION_N).n == identity.MAX_BIJECTION_N
         with pytest.raises(RangeError):
             verify_bijection(identity.MAX_BIJECTION_N + 1)
@@ -530,7 +506,7 @@ class TestVerifyIdentity:
 
     @pytest.mark.parametrize("n", range(0, 8))
     def test_structural_tallies_match_split(self, n):
-        # per-path reference that does not use the all-codes walk
+        # per-path reference that does not use the state recursion
         tally = Counter(len(split_at_last_zero(p)[0]) // 2 for p in all_paths(2 * n))
         expected = tuple(tally[i] for i in range(n + 1))
         assert verify_identity(n, "structural").structural_tallies == expected
@@ -541,10 +517,10 @@ class TestVerifyIdentity:
         expected = [verify_identity(n, "structural").to_kv() for n in range(9)]
 
         def per_code(*args):
-            raise AssertionError("the structural check reads the per-code walk")
+            raise AssertionError("the structural check reads the census's runs")
 
-        monkeypatch.setattr(walk, "_suffix_tables", per_code)
-        monkeypatch.setattr(walk, "_low_bits", per_code)
+        monkeypatch.setattr(census, "_class_codes", per_code)
+        monkeypatch.setattr(census, "_low_bits", per_code)
         assert [verify_identity(n, "structural").to_kv() for n in range(9)] == expected
 
     def test_structural_at_the_cap(self):
@@ -552,10 +528,9 @@ class TestVerifyIdentity:
         assert report.ok and report.tally_mismatches == ()
 
     def test_structural_peak_memory(self):
-        # at the top n the tally keeps no buffer of one byte per path, of
-        # which there are 2^30, and builds no prefix table: the peak, about
-        # 96 KB, is the state recursion's 30 pairs of 256-byte step tables
-        # and its dicts of at most 241 states
+        # at the top n the tally keeps nothing per path, of which there are
+        # 2^30, and no table: the peak, about 57 KB, is the state
+        # recursion's two dicts of at most 241 states
         verify_identity(1, "structural")  # imports outside the trace
         tracemalloc.start()
         try:

@@ -129,7 +129,7 @@ def test_arithmetic_identity_loads_neither_numpy_nor_dataclasses():
 def test_structural_identity_loads_the_walk_alone():
     code, out, added = loads("verify", "identity", "--n", "3", "--mode", "structural")
     assert (code, out) == (0, (GOLDEN / "verify_identity_n3_structural.txt").read_text())
-    assert "dyckflip.walk" in added
+    assert "dyckflip.identity" in added
     assert {"dyckflip.census", "dyckflip.bijection", "dyckflip.path"}.isdisjoint(added)
     assert [m for m in added if m.split(".")[0] == "numpy"] == []
 
