@@ -17,15 +17,17 @@ iff step j is Up, so its low k bits are its first k steps and its high
 bits the rest. Each half of a code is summed up by three heights, from
 its own start: where it ends, and the lowest and highest it reaches after
 its start (`_half_stats`, one table per half, built by doubling with no
-code decoded). `_class_codes` classifies each run from them, in classify's
-precedence: a path is balanced iff its two ends sum to 0, up-unbalanced
-iff its low half stays above 0 and its high half above minus the low
-half's end, down-unbalanced likewise below, and Other else.
-`enumerate_class` and the bijection sweep both iterate `_class_codes`,
-and `path.unrank_rows` decodes the codes it gives into int8 step rows.
-The sweep runs the rows of the balanced codes through the row kernels of
-`bijection`, forward and back, which phi and phi_inverse run on one row;
-its unbalanced count is the state tally at vertex 0
+code decoded). `_class_codes` selects each run's codes of one class with
+one `_class_mask` call, in classify's precedence: a path is balanced iff
+its two ends sum to 0, up-unbalanced iff its low half stays above 0 and
+its high half above minus the low half's end, down-unbalanced likewise
+below, and Other else. `enumerate_class` and the bijection sweep both
+iterate `_class_codes`, and `path.unrank_rows` decodes the codes it gives
+into int8 step rows. The sweep checks each run in one call,
+`_round_trip_failures`, which runs the rows of the run's balanced codes
+through the row kernels of `bijection`, forward and back, which phi and
+phi_inverse run on one row; a run's arrays go when the call returns. Its
+unbalanced count is the state tally at vertex 0
 (`identity._last_zero_tally`), the count the structural identity reports.
 It returns a `CensusReport`.
 """
@@ -128,28 +130,40 @@ def _half_stats(bits: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _class_codes(length: int, cls: Optional[PathClass]) -> Iterator[np.ndarray]:
     """The codes of class cls, every code if cls is None, of each run in
-    turn, in rank order: one int32 array per run.
-
-    A path is its low half, then its high half from the low half's end.
-    So it ends at 0 iff the two ends sum to 0, and it stays above 0 after
-    its start iff its low half does and its high half stays above minus
-    the low half's end; below likewise. The classes are classify's, in
-    its precedence: the empty path is balanced, not up-unbalanced.
-    """
+    turn, in rank order: one int32 array per run. A run's codes of a class
+    are the offsets of its `_class_mask` plus the run's first code; no
+    mask is kept while the run is read."""
     k = _low_bits(length)
     end, low, high = _half_stats(k)
     # the low halves that stay above, or below, 0 after their start; the
     # empty one ends at 0 and is in neither
     above, below = (low > 0) & (end != 0), (high < 0) & (end != 0)
-    for h, (e, h_low, h_high) in enumerate(zip(*(stats.tolist() for stats in _half_stats(length - k)))):
-        codes = np.arange(h << k, (h + 1) << k, dtype=np.int32)
-        if cls is not None:
-            balanced = end == -e
-            up, down = above & (end > -h_low), below & (end < -h_high)
-            # each class's mask, in the order of PathClass
-            masks = dict(zip(PathClass, (balanced, up, down, ~(balanced | up | down))))
-            codes = codes[masks[cls]]
-        yield codes
+    for h, high_part in enumerate(zip(*(stats.tolist() for stats in _half_stats(length - k)))):
+        if cls is None:
+            yield np.arange(h << k, (h + 1) << k, dtype=np.int32)
+        else:
+            yield np.flatnonzero(_class_mask(cls, end, above, below, *high_part)).astype(np.int32) + (h << k)
+
+
+def _class_mask(cls: PathClass, end, above, below, e: int, h_low: int, h_high: int) -> np.ndarray:
+    """The mask of one run's codes of class cls. end is the low half's end
+    height per code, above and below `_class_codes`' masks of the low
+    halves, and e, h_low and h_high the run's high part's end and lowest
+    and highest heights.
+
+    A path is its low half, then its high half from the low half's end.
+    So it ends at 0 iff the two ends sum to 0, and it stays above 0 after
+    its start iff its low half does and its high half stays above minus
+    the low half's end; below likewise. The classes are classify's, in
+    its precedence: the empty path is balanced, not up-unbalanced. A
+    balanced selection evaluates no other class's rule.
+    """
+    if cls is PathClass.BALANCED:
+        return end == -e
+    up, down = above & (end > -h_low), below & (end < -h_high)
+    if cls is PathClass.OTHER:
+        return ~((end == -e) | up | down)
+    return up if cls is PathClass.UP_UNBALANCED else down
 
 
 def verify_bijection(n: int) -> CensusReport:
@@ -160,12 +174,10 @@ def verify_bijection(n: int) -> CensusReport:
     a run at a time. unbalanced_count is the state tally of the paths that
     never return to height 0, as the structural identity reports it: a
     count over every path, carried by (height, last vertex at 0) state a
-    step at a time, in which phi plays no part. The balanced paths of each
-    run go through the forward kernel as one array of step rows, and their
-    images through the inverse one. An image must have the shape of its
-    input, be unbalanced by the inverse kernel's mask and map back to its
-    path, or the path is listed in roundtrip_failures. The inverse works row by row, so it is a
-    function of the image alone, and a map with a left inverse is
+    step at a time, in which phi plays no part. Each run of balanced paths
+    is checked in one `_round_trip_failures` call, and a path whose round
+    trip fails is listed in roundtrip_failures. The inverse works row by
+    row, so it is a function of the image alone, and a map with a left inverse is
     injective: phi(a) = phi(b) gives a = phi_inverse(phi(a)) = b. The map
     is a bijection iff nothing failed and both sides count C(2n, n): the
     images are then distinct unbalanced paths, as many as there are
@@ -181,16 +193,7 @@ def verify_bijection(n: int) -> CensusReport:
 
     for balanced in _class_codes(length, PathClass.BALANCED):
         balanced_count += len(balanced)
-        rows = unrank_rows(balanced, length)
-        image = phi_rows(rows)[0]
-        # an image of another shape, or back at height 0, fails
-        if image.shape != rows.shape:
-            failures += balanced.tolist()
-            continue
-        pre, _, ok = phi_inverse_rows(image)
-        ok &= (pre == rows).all(axis=1)
-        failures += balanced[~ok].tolist()
-        del rows, image, pre, _  # before the next run builds its own
+        failures += _round_trip_failures(balanced, length)
 
     # a ±1 walk cannot change sign without passing 0, so a path that never
     # returns to 0 stays on one side: unbalanced
@@ -207,3 +210,19 @@ def verify_bijection(n: int) -> CensusReport:
         roundtrip_failures=tuple(failures),
         elapsed=time.perf_counter() - start,
     )
+
+
+def _round_trip_failures(codes: np.ndarray, length: int) -> List[int]:
+    """The codes of one run of balanced paths of the given length whose
+    round trip fails. The run's step rows go through the forward kernel as
+    one array, and their images through the inverse one; an image must
+    have the shape of its input, be unbalanced by the inverse kernel's
+    mask and map back to its path. The run's rows and images go when the
+    call returns."""
+    rows = unrank_rows(codes, length)
+    image = phi_rows(rows)[0]
+    # an image of another shape, or back at height 0, fails
+    if image.shape != rows.shape:
+        return codes.tolist()
+    pre, _, ok = phi_inverse_rows(image)
+    return codes[~(ok & (pre == rows).all(axis=1))].tolist()

@@ -165,6 +165,41 @@ MUTANTS: List[Tuple[str, str, str, List[str]]] = [
         ["tests/test_census.py::TestVerifyBijection::test_unbalanced_count_is_the_tallys"],
     ),
     (
+        # a path whose image is unbalanced passes, whatever it maps back to
+        "census.py",
+        "ok & (pre == rows).all(axis=1)",
+        "ok | (pre == rows).all(axis=1)",
+        ["tests/test_census.py::TestVerifyBijection::test_collision_caught_by_round_trip"],
+    ),
+    (
+        # images of another shape fail no path
+        "census.py",
+        "        return codes.tolist()\n",
+        "        return []\n",
+        ["tests/test_census.py::TestVerifyBijection::test_image_of_other_length_reported"],
+    ),
+    (
+        # Other takes in the down-unbalanced codes too
+        "census.py",
+        "~((end == -e) | up | down)",
+        "~((end == -e) | up)",
+        ["tests/test_census.py::TestClassCodes::test_classes_partition_each_run[2]"],
+    ),
+    (
+        # the up and down selections are swapped
+        "census.py",
+        "return up if cls is PathClass.UP_UNBALANCED else down",
+        "return down if cls is PathClass.UP_UNBALANCED else up",
+        ["tests/test_census.py::TestClassCodes::test_classes_partition_each_run[2]"],
+    ),
+    (
+        # every run's selected codes are offsets from the first run's
+        "census.py",
+        ".astype(np.int32) + (h << k)",
+        ".astype(np.int32)",
+        ["tests/test_census.py::TestClassCodes::test_classes_partition_each_run[4]"],
+    ),
+    (
         # a state's number of paths comes from its down parent only
         "identity.py",
         "following.get(state, 0) + m",

@@ -284,6 +284,14 @@ class TestClassCodes:
                     assert codes.tolist() == sorted(codes.tolist())
                     assert all(classes[code] is cls for code in codes.tolist())
 
+    def test_no_run_array_kept_across_the_yield(self):
+        # while a run is read, the generator holds at most the low half's
+        # tables, which serve every run, and no mask or code range of the run
+        runs = census._class_codes(20, PathClass.OTHER)
+        next(runs)
+        arrays = {name for name, value in runs.gi_frame.f_locals.items() if isinstance(value, np.ndarray)}
+        assert arrays <= {"end", "low", "high", "above", "below"}
+
 
 def _copy_row_0_into_row_1(phi_rows):
     """A forward map whose second image repeats the first of the same call."""
@@ -403,6 +411,26 @@ class TestVerifyBijection:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0]
+
+    def test_peak_memory(self):
+        # beyond one run's round trip, the sweep holds the low half's five
+        # one-byte tables and the run's int32 codes; the high half's tables
+        # and the Python objects fit in 64 KiB. Both peaks hold numpy's own
+        # work arrays, so the bound does not depend on numpy's version. A
+        # run's class masks kept while the run is mapped add 0.28 MB.
+        length = 20
+        largest = max(census._class_codes(length, PathClass.BALANCED), key=len)
+        peaks = []
+        for sweep in (lambda: verify_bijection(length // 2), lambda: census._round_trip_failures(largest, length)):
+            sweep()  # imports and first-call caches outside the trace
+            tracemalloc.start()
+            try:
+                sweep()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        held = 5 << census._low_bits(length)
+        assert peaks[0] - peaks[1] < held + 4 * len(largest) + (1 << 16), peaks
 
     def test_chunk_determinism(self, monkeypatch):
         reports = []

@@ -90,6 +90,18 @@ class TestExitCodes:
         assert code == 2
         assert "DownStart" in err
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            # the one error kind whose name differs from its class's
+            (("decompose", ""), "error: Empty: cannot decompose the empty path\n"),
+            (("invert", "UD"), "error: NotUnbalanced: input path is Balanced, expected unbalanced\n"),
+        ],
+        ids=["empty", "not-unbalanced"],
+    )
+    def test_error_line(self, capsys, argv, line):
+        assert run(capsys, *argv) == (2, "", line)
+
     @pytest.mark.parametrize("length", ["31", "-1"])
     def test_enumerate_length_out_of_range_is_2(self, capsys, length):
         # the range check runs when the writer takes the first path
