@@ -70,12 +70,16 @@ come from one split of the path's bytes, and the `Segment` named tuples
 and the parts from map and zip over the runs (a segment's one Python call
 is the `LatticePath._trusted` that wraps its bytes), with the garbage
 collector paused while they are built.
+
+The records, `BijectionTrace`, `Decomposition` and `Segment`, are named
+tuples: each equals the plain tuple of its fields, unpacks into them and
+is copied with `_replace`, not `dataclasses.replace`, and the module
+loads no `dataclasses`.
 """
 
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, repeat
 from operator import sub
@@ -115,10 +119,14 @@ class Direction(Enum):
     INVERSE = "Inverse"
 
 
-@dataclass(frozen=True)
-class BijectionTrace:
+class BijectionTrace(NamedTuple):
     """Peak points, segment endpoints and reflection lines recorded while
-    mapping, in discovery order (global peak / final endpoint first)."""
+    mapping, in discovery order (global peak / final endpoint first).
+
+    A named tuple, like `Segment` and `Decomposition`: it compares equal
+    to the plain tuple of its fields, unpacks into them, and is copied
+    with `_replace`, not `dataclasses.replace`.
+    """
 
     b_points: Tuple[Point, ...]
     g_points: Tuple[Point, ...]
@@ -296,13 +304,13 @@ class Segment(NamedTuple):
     start_index: int
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Alternating (uprun, segment) parts plus the peak vertices.
 
     peak_indices/peak_heights run left-to-right along the path, i.e. from
     the lowest peak to the global maximum; the global maximum is last and
-    fronts the down-unbalanced segment.
+    fronts the down-unbalanced segment. A named tuple: it equals the plain
+    tuple (parts, peak_indices, peak_heights), and `_replace` copies it.
     """
 
     parts: Tuple[Tuple[int, Segment], ...]

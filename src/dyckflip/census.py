@@ -17,7 +17,9 @@ iff step j is Up, so its low k bits are its first k steps and its high
 bits the rest. Each half of a code is summed up by three heights, from
 its own start: where it ends, and the lowest and highest it reaches after
 its start (`_half_stats`, one table per half, built by doubling with no
-code decoded). `_class_codes` selects each run's codes of one class with
+code decoded); of the low half it keeps only the end heights and the
+masks of the halves that stay above, or below, 0 (`_low_halves`).
+`_class_codes` selects each run's codes of one class with
 one `_class_mask` call, in classify's precedence: a path is balanced iff
 its two ends sum to 0, up-unbalanced iff its low half stays above 0 and
 its high half above minus the low half's end, down-unbalanced likewise
@@ -58,7 +60,9 @@ class CensusReport(_Report):
 
     It has the fields of `identity.IdentityReport` and shares its verdict
     and text forms; the sweep never fills structural_tallies or
-    tally_mismatches.
+    tally_mismatches. A frozen dataclass, not a named tuple: it does not
+    equal the tuple of its fields, and the benchmark's tests copy it with
+    `dataclasses.replace`.
     """
 
     n: int
@@ -128,16 +132,22 @@ def _half_stats(bits: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return end, low, high
 
 
+def _low_halves(bits: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(end, above, below): for each code of `bits` steps, in rank order,
+    its path's end height and whether the path stays above, or below, 0
+    after its start. The empty path ends at 0 and is in neither. The
+    lowest and highest heights they are read off go when this returns."""
+    end, low, high = _half_stats(bits)
+    return end, (low > 0) & (end != 0), (high < 0) & (end != 0)
+
+
 def _class_codes(length: int, cls: Optional[PathClass]) -> Iterator[np.ndarray]:
     """The codes of class cls, every code if cls is None, of each run in
     turn, in rank order: one int32 array per run. A run's codes of a class
     are the offsets of its `_class_mask` plus the run's first code; no
     mask is kept while the run is read."""
     k = _low_bits(length)
-    end, low, high = _half_stats(k)
-    # the low halves that stay above, or below, 0 after their start; the
-    # empty one ends at 0 and is in neither
-    above, below = (low > 0) & (end != 0), (high < 0) & (end != 0)
+    end, above, below = _low_halves(k)
     for h, high_part in enumerate(zip(*(stats.tolist() for stats in _half_stats(length - k)))):
         if cls is None:
             yield np.arange(h << k, (h + 1) << k, dtype=np.int32)
@@ -147,7 +157,7 @@ def _class_codes(length: int, cls: Optional[PathClass]) -> Iterator[np.ndarray]:
 
 def _class_mask(cls: PathClass, end, above, below, e: int, h_low: int, h_high: int) -> np.ndarray:
     """The mask of one run's codes of class cls. end is the low half's end
-    height per code, above and below `_class_codes`' masks of the low
+    height per code, above and below `_low_halves`' masks of the low
     halves, and e, h_low and h_high the run's high part's end and lowest
     and highest heights.
 

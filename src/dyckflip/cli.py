@@ -8,7 +8,8 @@ Exit codes: 0 success, 1 verification failure or stdout closed early (as
 Python itself exits on a broken pipe), 2 usage or domain error, or path
 text on stdin longer than MAX_STDIN_CHARS. Every byte of stdout leaves
 through `_write`, so a reader that closes the pipe early gives 1 on every
-command.
+command. A stream that fails or is closed ends in one `error: IO:` line:
+stdout with 1, stdin or the `--svg` file with 2.
 
 This module imports only `errors` and the standard library. Each command
 imports the kernels it runs when it runs, so `--help`, usage errors and
@@ -101,19 +102,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _StdinError(ValueError):
+    """stdin is closed or cannot be read; it exits 2, as bad path text does."""
+
+    reason = "IO"
+
+
 def _read_path(arg: str, alphabet: str) -> LatticePath:
     from .path import parse_path
 
     if arg != "-":
         return parse_path(arg, alphabet)
-    text = sys.stdin.read(MAX_STDIN_CHARS + 1)
+    try:
+        text = sys.stdin.read(MAX_STDIN_CHARS + 1)
+    except (AttributeError, OSError) as exc:  # None if started with stdin closed (`<&-`)
+        raise _StdinError(exc if sys.stdin else "stdin is closed") from None
     if len(text) > MAX_STDIN_CHARS:
         raise RangeError(f"path text on stdin must be at most {MAX_STDIN_CHARS} characters")
     return parse_path(text, alphabet)
 
 
 def _write(chunks: Iterable[str]) -> None:
-    """Write text to stdout, or raise BrokenPipeError.
+    """Write text to stdout and flush it, or raise BrokenPipeError, or
+    OSError if stdout fails or is closed.
 
     The chunks are joined 1024 at a time, so that a long run of short lines
     costs one encode and one write a batch. A write larger than a pipe holds
@@ -123,6 +134,8 @@ def _write(chunks: Iterable[str]) -> None:
     meets the closed pipe.
     """
     out = sys.stdout
+    if out is None:  # started with stdout closed (`>&-`)
+        raise OSError("stdout is closed")
     out.flush()
     buffer = getattr(out, "buffer", None)
     if buffer is None:  # a text-only stream, such as io.StringIO
@@ -133,6 +146,8 @@ def _write(chunks: Iterable[str]) -> None:
         data = memoryview("".join(batch).encode(out.encoding, out.errors))
         while data:
             data = data[buffer.write(data) :]
+    # surface a closed pipe here rather than in the interpreter's final flush
+    buffer.flush()
 
 
 def _run_map(args: argparse.Namespace) -> int:
@@ -233,14 +248,15 @@ def _to_devnull(stream) -> None:
         os.dup2(null.fileno(), stream.fileno())
 
 
-def _print_error(exc: Exception) -> int:
-    """One `error: Kind: message` line on stderr; the exit code is 2."""
-    kind = getattr(exc, "reason", type(exc).__name__.removesuffix("Error"))
+def _print_error(exc: Exception, code: int = 2) -> int:
+    """One `error: Kind: message` line on stderr, a bare OSError's kind IO;
+    returns code."""
+    kind = "IO" if type(exc) is OSError else getattr(exc, "reason", type(exc).__name__.removesuffix("Error"))
     try:
         print(f"error: {kind}: {exc}", file=sys.stderr)
     except BrokenPipeError:  # no reader (`dyckflip map UUU 2>&1 | true`)
         _to_devnull(sys.stderr)
-    return 2
+    return code
 
 
 def _run_render(args: argparse.Namespace) -> int:
@@ -256,11 +272,10 @@ def _run_render(args: argparse.Namespace) -> int:
             _write([doc])
         else:
             try:
-                fh = open(args.svg, "w", encoding="utf-8")
+                with open(args.svg, "w", encoding="utf-8") as fh:
+                    fh.write(doc)
             except OSError as exc:
                 return _print_error(exc)
-            with fh:
-                fh.write(doc)
     else:
         _write([render_ascii(spec)])
     return 0
@@ -269,14 +284,15 @@ def _run_render(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.run(args)
-        # surface a closed pipe here rather than in the interpreter's final flush
-        sys.stdout.flush()
-        return code
+        return args.run(args)
     except BrokenPipeError:
         _to_devnull(sys.stdout)  # no reader (`dyckflip enumerate --len 30 | head`)
         return 1
-    except (DomainError, ParseError, RangeError, ValidationError) as exc:
+    except OSError as exc:  # stdout is full (`> /dev/full`) or closed (`>&-`)
+        if sys.stdout:
+            _to_devnull(sys.stdout)
+        return _print_error(exc, 1)
+    except (DomainError, ParseError, RangeError, ValidationError, _StdinError) as exc:
         return _print_error(exc)
 
 

@@ -16,11 +16,13 @@ state, whose last vertex at 0 is the path's, so `_last_zero_tally` adds
 each final state's count to its vertex. The bijection sweep of `census`
 reads the same tally for its unbalanced count.
 
-Both checks return an `IdentityReport`, a named tuple; the bijection sweep
-of `census` returns a `CensusReport`, a frozen dataclass with the same
-fields. The two share their verdict and text forms through `_Report`. This
-module imports neither numpy nor `dataclasses` nor any other module of
-the package but `errors`, so neither mode loads them.
+Both checks return an `IdentityReport`, a named tuple, as the map's
+`BijectionTrace` and `Decomposition` are: each equals the plain tuple of
+its fields and is copied with `_replace`, not `dataclasses.replace`. The
+bijection sweep of `census` returns a `CensusReport`, a frozen dataclass
+with the same fields. The two share their verdict and text forms through
+`_Report`. This module imports neither numpy nor `dataclasses` nor any
+other module of the package but `errors`, so neither mode loads them.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Dict, Iterator, List, Literal, Tuple
 from .errors import RangeError
 
 MAX_BIJECTION_N = 12
-MAX_STRUCTURAL_N = 15
+MAX_STRUCTURAL_N = 48
 MAX_ARITHMETIC_N = 10_000
 
 IdentityMode = Literal["arithmetic", "structural"]

@@ -20,6 +20,9 @@ MAX_ASCII_LENGTH = 120
 
 @dataclass(frozen=True)
 class RenderSpec:
+    """What to draw and how. A frozen dataclass, not a named tuple like
+    the trace it carries: its cell size is checked when it is built."""
+
     path: LatticePath
     trace: Optional[BijectionTrace] = None
     cell_size: int = 10

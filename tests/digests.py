@@ -68,7 +68,9 @@ CHEAP: Dict[str, List[List[str]]] = {
         for mode in ("arithmetic", "structural")
         if n <= 15 or mode == "arithmetic"
         for argv in _verify("identity", n, "--mode", mode)
-    ],
+    ]
+    # the structural check at its cap
+    + _verify("identity", 48, "--mode", "structural"),
     "enumerate": [argv for length in range(17) for argv in _enumerate(length)],
     "map": _maps("map", _MAP_PATHS) + _maps("invert", _INVERT_PATHS),
 }

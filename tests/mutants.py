@@ -95,6 +95,16 @@ MUTANTS: List[Tuple[str, str, str, List[str]]] = [
         ["tests/test_cli.py::TestBrokenPipe::test_short_write_is_followed_to_the_closed_pipe"],
     ),
     (
+        # a full or closed stdout ends in a traceback
+        "cli.py",
+        "    except OSError as exc:  # stdout is full (`> /dev/full`) or closed (`>&-`)\n"
+        "        if sys.stdout:\n"
+        "            _to_devnull(sys.stdout)\n"
+        "        return _print_error(exc, 1)\n",
+        "",
+        ["tests/test_cli.py::TestStreamFailures::test_full_stdout_is_one_line_and_1"],
+    ),
+    (
         # validate compares the parts but not the peak lists
         "bijection.py",
         'peaks = (("indices", d.peak_indices, e.peak_indices), ("heights", d.peak_heights, e.peak_heights))',
@@ -139,8 +149,8 @@ MUTANTS: List[Tuple[str, str, str, List[str]]] = [
     (
         # the empty path is up- and down-unbalanced as well as balanced
         "census.py",
-        "above, below = (low > 0) & (end != 0), (high < 0) & (end != 0)",
-        "above, below = low > 0, high < 0",
+        "return end, (low > 0) & (end != 0), (high < 0) & (end != 0)",
+        "return end, low > 0, high < 0",
         ["tests/test_census.py::TestClassCodes::test_classes_partition_each_run[0]"],
     ),
     (

@@ -286,11 +286,13 @@ class TestClassCodes:
 
     def test_no_run_array_kept_across_the_yield(self):
         # while a run is read, the generator holds at most the low half's
-        # tables, which serve every run, and no mask or code range of the run
+        # end heights and masks, which serve every run: neither the lowest
+        # and highest heights the masks are read off, nor any mask or code
+        # range of the run
         runs = census._class_codes(20, PathClass.OTHER)
         next(runs)
         arrays = {name for name, value in runs.gi_frame.f_locals.items() if isinstance(value, np.ndarray)}
-        assert arrays <= {"end", "low", "high", "above", "below"}
+        assert arrays <= {"end", "above", "below"}
 
 
 def _copy_row_0_into_row_1(phi_rows):
@@ -413,11 +415,13 @@ class TestVerifyBijection:
         assert peaks[1] < 1.5 * peaks[0]
 
     def test_peak_memory(self):
-        # beyond one run's round trip, the sweep holds the low half's five
-        # one-byte tables and the run's int32 codes; the high half's tables
-        # and the Python objects fit in 64 KiB. Both peaks hold numpy's own
-        # work arrays, so the bound does not depend on numpy's version. A
-        # run's class masks kept while the run is mapped add 0.28 MB.
+        # beyond one run's round trip, the sweep holds the low half's three
+        # one-byte tables (end, above, below) and the run's int32 codes; the
+        # high half's tables and the Python objects fit in 64 KiB. Both
+        # peaks hold numpy's own work arrays, so the bound does not depend
+        # on numpy's version. A run's class masks kept while the run is
+        # mapped add 0.28 MB, and the low half's lowest and highest heights
+        # kept beside the masks 0.13 MB.
         length = 20
         largest = max(census._class_codes(length, PathClass.BALANCED), key=len)
         peaks = []
@@ -429,7 +433,7 @@ class TestVerifyBijection:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        held = 5 << census._low_bits(length)
+        held = 3 << census._low_bits(length)
         assert peaks[0] - peaks[1] < held + 4 * len(largest) + (1 << 16), peaks
 
     def test_chunk_determinism(self, monkeypatch):
@@ -555,18 +559,29 @@ class TestVerifyIdentity:
         report = verify_identity(identity.MAX_STRUCTURAL_N, "structural")
         assert report.ok and report.tally_mismatches == ()
 
-    def test_structural_peak_memory(self):
-        # at the top n the tally keeps nothing per path, of which there are
-        # 2^30, and no table: the peak, about 57 KB, is the state
-        # recursion's two dicts of at most 241 states
+    @staticmethod
+    def structural_peak(n):
         verify_identity(1, "structural")  # imports outside the trace
         tracemalloc.start()
         try:
-            verify_identity(identity.MAX_STRUCTURAL_N, "structural")
-            peak = tracemalloc.get_traced_memory()[1]
+            verify_identity(n, "structural")
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def test_structural_peak_memory(self):
+        # the tally keeps nothing per path, of which there are 2^30 at
+        # n = 15, and no table: the peak, about 57 KB, is the state
+        # recursion's two dicts of at most 241 states
+        peak = self.structural_peak(15)
         assert peak < 512 << 10, peak
+
+    def test_structural_peak_memory_at_the_cap(self):
+        # the two dicts hold at most n^2 + n + 1 states, about 235 B a
+        # state in all (550 KB at n = 48), and the 2^96 paths nothing
+        n = identity.MAX_STRUCTURAL_N
+        peak = self.structural_peak(n)
+        assert peak < 320 * (n * n + n + 1), peak
 
     def test_identity_lhs_matches_brute_sum(self):
         # the central binomials off one pass down Pascal's triangle, as pascal builds it

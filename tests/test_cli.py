@@ -1,3 +1,5 @@
+import contextlib
+import errno
 import io
 import json
 import os
@@ -365,6 +367,112 @@ class TestBrokenPipe:
         n = pipe.buffer.sizes[0]
         assert pipe.buffer.sizes == [n, n - n // 2]
         assert capsys.readouterr().err == ""
+
+
+class FullDisk:
+    """A stdout on a full disk (`> /dev/full`): every write raises ENOSPC,
+    through the text layer and through its binary layer alike."""
+
+    encoding, errors = "utf-8", "strict"
+
+    def __init__(self, fd=None):
+        self.fd = fd
+        self.buffer = self
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    writelines = write
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        pass
+
+
+class FailingStdin:
+    def read(self, size=-1):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+
+# every command, and each of its output forms
+EVERY_COMMAND = [
+    ["map", "UDUUDD"],
+    ["map", "UDUUDD", "--trace"],
+    ["map", "UDUUDD", "--json"],
+    ["invert", "UUDUUU"],
+    ["decompose", "UDUUDD"],
+    ["decompose", "UDUUDD", "--json"],
+    ["verify", "identity", "--n", "3"],
+    ["verify", "identity", "--n", "3", "--mode", "structural", "--json"],
+    ["verify", "bijection", "--n", "2"],
+    ["enumerate", "--len", "4"],
+    ["render", "UDUUDD"],
+    ["render", "UDUUDD", "--svg", "-"],
+]
+
+NO_SPACE = f"error: IO: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+
+class TestStreamFailures:
+    @pytest.mark.parametrize("argv", EVERY_COMMAND)
+    def test_full_stdout_is_one_line_and_1(self, capsys, monkeypatch, tmp_path, argv):
+        with open(tmp_path / "stdout", "w") as fh:
+            monkeypatch.setattr("sys.stdout", FullDisk(fh.fileno()))
+            assert main(argv) == 1
+            # what is left in the stream's buffer goes to the null device
+            assert os.fstat(fh.fileno()).st_ino == os.stat(os.devnull).st_ino
+        assert capsys.readouterr().err == NO_SPACE
+
+    def test_full_svg_file_is_one_line_and_2(self, capsys, monkeypatch, tmp_path):
+        # the file opens, and its write or its close meets the full disk
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: FullDisk(), raising=False)
+        assert run(capsys, "render", "UDUD", "--svg", str(tmp_path / "out.svg")) == (2, "", NO_SPACE)
+
+    @pytest.mark.parametrize("argv", [["map", "UD"], ["enumerate", "--len", "2"]])
+    def test_closed_stdout_is_one_line_and_1(self, capsys, monkeypatch, argv):
+        # a command started with `>&-` finds sys.stdout None
+        monkeypatch.setattr("sys.stdout", None)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: IO: stdout is closed\n"
+
+    def test_svg_file_needs_no_stdout(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr("sys.stdout", None)
+        assert main(["render", "UDUD", "--svg", str(tmp_path / "out.svg")]) == 0
+        assert (tmp_path / "out.svg").read_text().startswith("<svg ")
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "stdin, line",
+        [
+            (None, "error: IO: stdin is closed\n"),
+            (FailingStdin(), f"error: IO: [Errno {errno.EIO}] {os.strerror(errno.EIO)}\n"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["map", "invert", "decompose", "render"])
+    def test_failing_stdin_is_one_line_and_2(self, capsys, monkeypatch, stdin, line, command):
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert run(capsys, command, "-") == (2, "", line)
+
+
+class TestTextOnlyStdout:
+    # `_write` hands a stdout with no binary layer, such as io.StringIO,
+    # its chunks as they are
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [(["map", "UDUD"], "map_udud.txt"), (["enumerate", "--len", "4", "--class", "up"], "enumerate_len4_up.txt")],
+    )
+    def test_output_matches_the_golden(self, argv, golden):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv) == 0
+        assert out.getvalue() == (GOLDEN / golden).read_text()
 
 
 class TestJsonOutput:

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
@@ -192,8 +191,7 @@ class TestRecomposeAndValidate:
     def test_violations_name_the_expected_kind(self):
         d = decompose(parse_path("UDUUDD"))
         (a, dyck), (b, last) = d.parts
-        d = replace(
-            d,
+        d = d._replace(
             parts=(
                 (a, dyck._replace(kind=SegmentKind.DOWN_UNBALANCED)),
                 (b, last._replace(kind=SegmentKind.DOWN_DYCK)),
@@ -235,12 +233,12 @@ def perturbations(d):
         parts.append((up_len, seg._replace(kind=other)))
         parts += [(up_len, seg._replace(steps=steps)) for steps in SHORT_PATHS]
         for part in parts:
-            yield replace(d, parts=d.parts[:k] + (part,) + d.parts[k + 1 :])
-        yield replace(d, parts=d.parts[:k] + d.parts[k + 1 :])
+            yield d._replace(parts=d.parts[:k] + (part,) + d.parts[k + 1 :])
+        yield d._replace(parts=d.parts[:k] + d.parts[k + 1 :])
         for name in ("peak_indices", "peak_heights"):
             values = getattr(d, name)
             for delta in (-1, 1):
-                yield replace(d, **{name: values[:k] + (values[k] + delta,) + values[k + 1 :]})
+                yield d._replace(**{name: values[:k] + (values[k] + delta,) + values[k + 1 :]})
 
 
 class TestValidateAgainstReference:

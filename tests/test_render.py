@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -23,6 +26,7 @@ from dyckflip import (
 from dyckflip.render import MAX_ASCII_LENGTH, MAX_CELL_SIZE
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).parent.parent
 CELL_SIZES = [1, 7, 10, 999, MAX_CELL_SIZE]
 
 
@@ -236,3 +240,17 @@ class TestPolylineNearInt32:
             # a monotone path's heights span the length, so its y values do too
             for q in (parse_path("U" * length), parse_path("D" * length), LatticePath(steps)):
                 assert points_text(render_svg(RenderSpec(path=q, cell_size=cell))) == fstring_points(q, cell)
+
+
+def test_demo_3_figures(tmp_path):
+    # the demo writes its three SVGs into ./figures/ of its working directory
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    demo = ROOT / "demos" / "03_render_figures.py"
+    proc = subprocess.run(
+        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    names = ("input_with_peaks.svg", "image_with_lines.svg", "inverse_crossings.svg")
+    assert sorted(path.name for path in (tmp_path / "figures").iterdir()) == sorted(names)
+    for name in names:
+        assert (tmp_path / "figures" / name).read_text() == (GOLDEN / f"demo3_{name}").read_text(), name

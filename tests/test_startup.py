@@ -126,6 +126,21 @@ def test_arithmetic_identity_loads_neither_numpy_nor_dataclasses():
         assert [m for m in added if m == "dataclasses" or m.split(".")[0] == "numpy"] == []
 
 
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (("map", "UDUD"), "map_udud.txt"),
+        (("invert", "UU"), "invert_uu.txt"),
+        (("decompose", "UDUUDD"), "decompose_uduudd.txt"),
+    ],
+)
+def test_maps_load_no_dataclasses(argv, golden):
+    # the trace and the decomposition are named tuples
+    code, out, added = loads(*argv)
+    assert (code, out) == (0, (GOLDEN / golden).read_text())
+    assert "dyckflip.bijection" in added and "dataclasses" not in added
+
+
 def test_structural_identity_loads_the_walk_alone():
     code, out, added = loads("verify", "identity", "--n", "3", "--mode", "structural")
     assert (code, out) == (0, (GOLDEN / "verify_identity_n3_structural.txt").read_text())
@@ -161,3 +176,12 @@ else:
 def test_lazy_namespace():
     proc = fresh("-c", NAMESPACE)
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_dir_lists_every_public_name_and_loads_no_numpy():
+    code = "import sys, dyckflip; print(repr([dir(dyckflip), dyckflip.__all__, 'numpy' in sys.modules]))"
+    proc = fresh("-c", code)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    listed, public, numpy = ast.literal_eval(proc.stdout)
+    assert set(public) <= set(listed) and listed == sorted(listed)
+    assert not numpy
