@@ -87,7 +87,7 @@ from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
-from .errors import (
+from . import (
     DomainError,
     DownStartError,
     EmptyPathError,

@@ -1,6 +1,7 @@
 """Exhaustive verification over the rank space, with numpy. The identity,
-its report, the bounds and the state tally live in `identity`, which loads
-no numpy and nothing of this package.
+its report, its bounds and the state tally live in `identity`, which loads
+no numpy and no other module of this package; the sweep's bound,
+`MAX_BIJECTION_N`, lives here.
 
 The partial-reflection map is a bijection between balanced and unbalanced
 paths of each even length, verified by sweeping the whole rank space:
@@ -43,15 +44,17 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from . import OddLengthError, RangeError
 from .bijection import phi_inverse_rows, phi_rows
-from .errors import OddLengthError, RangeError
-from .identity import MAX_BIJECTION_N, _last_zero_tally, _Report, identity_lhs
+from .identity import _last_zero_tally, _Report, identity_lhs
 from .path import LatticePath, PathClass, unrank_rows
 
 # sets the run length of `_class_codes`: a run holds 2^k codes, where k is
 # its bit length less one as `_low_bits` raises and caps it; any value
 # gives the same reports, and a run bounds the memory of its codes and rows
 _CHUNK = 1 << 16
+
+MAX_BIJECTION_N = 12
 
 
 @dataclass(frozen=True)

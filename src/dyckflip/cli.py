@@ -11,7 +11,8 @@ through `_write`, so a reader that closes the pipe early gives 1 on every
 command. A stream that fails or is closed ends in one `error: IO:` line:
 stdout with 1, stdin or the `--svg` file with 2.
 
-This module imports only `errors` and the standard library. Each command
+This module imports only the package root, for the exceptions and
+`MAX_CELL_SIZE`, and the standard library. Each command
 imports the kernels it runs when it runs, so `--help`, usage errors and
 `verify identity --mode arithmetic` never load numpy, and each `--json`
 branch imports `json`, which no other output needs.
@@ -25,7 +26,7 @@ import sys
 from itertools import islice
 from typing import TYPE_CHECKING, Iterable, List, Optional
 
-from .errors import MAX_CELL_SIZE, DomainError, ParseError, RangeError, ValidationError
+from . import MAX_CELL_SIZE, DomainError, ParseError, RangeError, ValidationError
 
 if TYPE_CHECKING:
     from .path import LatticePath
@@ -249,9 +250,11 @@ def _to_devnull(stream) -> None:
 
 
 def _print_error(exc: Exception, code: int = 2) -> int:
-    """One `error: Kind: message` line on stderr, a bare OSError's kind IO;
-    returns code."""
+    """One `error: Kind: message` line on stderr, a bare OSError's kind IO,
+    or nothing if stderr is closed; returns code."""
     kind = "IO" if type(exc) is OSError else getattr(exc, "reason", type(exc).__name__.removesuffix("Error"))
+    if sys.stderr is None:  # started with `2>&-`: print would fall back to stdout
+        return code
     try:
         print(f"error: {kind}: {exc}", file=sys.stderr)
     except BrokenPipeError:  # no reader (`dyckflip map UUU 2>&1 | true`)
@@ -282,7 +285,10 @@ def _run_render(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # as parse_args words it, but each in its repr, so that a line break stays in the one line
+        parser.error(f"unrecognized arguments: {' '.join(map(repr, extra))}")
     try:
         return args.run(args)
     except BrokenPipeError:

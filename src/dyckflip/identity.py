@@ -1,5 +1,5 @@
-"""The identity sum_{i=0..n} C(2i,i) * C(2n-2i,n-i) = 4^n, the census
-bounds, and the reports of the census checks.
+"""The identity sum_{i=0..n} C(2i,i) * C(2n-2i,n-i) = 4^n, the bounds of
+its two checks, and the reports of the census checks.
 
 Arithmetic mode sums exact integers, each term from the one before by their
 ratio (2i+1)(n-i) / ((i+1)(2n-2i-1)), starting from C(2n,n); term i equals
@@ -22,7 +22,8 @@ its fields and is copied with `_replace`, not `dataclasses.replace`. The
 bijection sweep of `census` returns a `CensusReport`, a frozen dataclass
 with the same fields. The two share their verdict and text forms through
 `_Report`. This module imports neither numpy nor `dataclasses` nor any
-other module of the package but `errors`, so neither mode loads them.
+other module of the package, only the exceptions of its root, so neither
+mode loads them.
 """
 
 from __future__ import annotations
@@ -34,9 +35,8 @@ from contextlib import contextmanager
 from math import comb
 from typing import Dict, Iterator, List, Literal, Tuple
 
-from .errors import RangeError
+from . import RangeError
 
-MAX_BIJECTION_N = 12
 MAX_STRUCTURAL_N = 48
 MAX_ARITHMETIC_N = 10_000
 

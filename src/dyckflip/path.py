@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Tuple
 
 import numpy as np
 
-from .errors import ParseError, RangeError
+from . import ParseError, RangeError
 
 # rank/unrank stick to a machine-word-sized code space
 MAX_RANK_LENGTH = 62

@@ -11,8 +11,8 @@ from typing import List, Optional
 
 import numpy as np
 
+from . import MAX_CELL_SIZE, RangeError
 from .bijection import BijectionTrace
-from .errors import MAX_CELL_SIZE, RangeError
 from .path import UP, LatticePath, height_array
 
 MAX_ASCII_LENGTH = 120

@@ -241,6 +241,21 @@ MUTANTS: List[Tuple[str, str, str, List[str]]] = [
         'format_path(p)}\\n" for p in enumerate_class',
         ["tests/test_cli.py::test_digests[enumerate]"],
     ),
+    (
+        # with stderr closed (`2>&-`), the error line goes to stdout
+        "cli.py",
+        "    if sys.stderr is None:  # started with `2>&-`: print would fall back to stdout\n        return code\n",
+        "",
+        ["tests/test_cli.py::TestClosedStderr"],
+    ),
+    (
+        # an unrecognized argument that holds a line break is printed raw,
+        # over two lines
+        "cli.py",
+        "args, extra = parser.parse_known_args(argv)",
+        "args, extra = parser.parse_args(argv), []",
+        ["tests/test_cli.py::test_seeded_argv_fuzz"],
+    ),
 ]
 
 

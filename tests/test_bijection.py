@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dyckflip
 from dyckflip import (
     Direction,
     LatticePath,
@@ -20,7 +21,6 @@ from dyckflip import (
     classify,
     compose_law_check,
     concat,
-    errors,
     format_path,
     max_height,
     parse_path,
@@ -351,7 +351,7 @@ class TestAgainstPeakConstruction:
         # classes and the byte constants; a function of the package would
         # let a fault in it pass both sides of the tests above
         allowed = {"LatticePath", "Segment", "SegmentKind", "Decomposition", "UP_BYTE", "DOWN_BYTE"}
-        allowed.update(n for n, v in vars(errors).items() if isinstance(v, type) and issubclass(v, Exception))
+        allowed.update(n for n, v in vars(dyckflip).items() if isinstance(v, type) and issubclass(v, Exception))
         names = []
         for node in ast.walk(ast.parse(inspect.getsource(peak_reference))):
             if isinstance(node, ast.Import):

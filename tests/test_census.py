@@ -453,7 +453,7 @@ class TestVerifyBijection:
             classes[PathClass.UP_UNBALANCED] + classes[PathClass.DOWN_UNBALANCED]
         )
 
-    @pytest.mark.parametrize("n", range(1, identity.MAX_BIJECTION_N + 1))
+    @pytest.mark.parametrize("n", range(1, census.MAX_BIJECTION_N + 1))
     def test_counts_match_the_tally(self, n):
         # the balanced paths decoded and mapped, and the unbalanced ones the
         # state tally counts at vertex 0, are the tally's two ends
@@ -483,9 +483,9 @@ class TestVerifyBijection:
     def test_largest_n_in_range(self, monkeypatch):
         # the range check alone: a census that yields no run sweeps nothing
         monkeypatch.setattr(census, "_class_codes", lambda length, cls: iter(()))
-        assert verify_bijection(identity.MAX_BIJECTION_N).n == identity.MAX_BIJECTION_N
+        assert verify_bijection(census.MAX_BIJECTION_N).n == census.MAX_BIJECTION_N
         with pytest.raises(RangeError):
-            verify_bijection(identity.MAX_BIJECTION_N + 1)
+            verify_bijection(census.MAX_BIJECTION_N + 1)
 
 
 class TestVerifyIdentity:

@@ -3,9 +3,12 @@ import errno
 import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -460,6 +463,121 @@ class TestStreamFailures:
     def test_failing_stdin_is_one_line_and_2(self, capsys, monkeypatch, stdin, line, command):
         monkeypatch.setattr("sys.stdin", stdin)
         assert run(capsys, command, "-") == (2, "", line)
+
+
+class TestClosedStderr:
+    # a command started with `2>&-` finds sys.stderr None, where print
+    # would write the error line to stdout instead
+    @pytest.mark.parametrize("argv", [["map", "UU"], ["verify", "bijection", "--n", "99"]], ids=["domain", "range"])
+    def test_error_is_2_and_stdout_stays_empty(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr("sys.stderr", None)
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_full_stdout_is_1_and_stdout_stays_empty(self, monkeypatch, tmp_path):
+        with open(tmp_path / "stdout", "w") as fh:
+            monkeypatch.setattr("sys.stdout", FullDisk(fh.fileno()))
+            monkeypatch.setattr("sys.stderr", None)
+            assert main(["map", "UD"]) == 1
+        assert (tmp_path / "stdout").read_text() == ""
+
+
+# path text for the argv fuzz: paths in both alphabets, stdin's "-",
+# whitespace and a line break, non-ASCII letters, a lone surrogate as
+# os.fsdecode gives an undecodable byte, and an unknown flag
+FUZZ_TEXT = ["UDUD", "UUDD", "UU", "DU", "UDUUDDUD", "NENE", "NNEE", "", "-", " UD ", "U\nD", "ÜD", "U\udcffD", "--x"]
+# stdin's bytes, read as a POSIX stdin reads them, with surrogateescape
+FUZZ_STDIN = [b"UDUD\n", b"UUUDUD", b"", b"  NE\n", "ÜD".encode(), b"UD\xffD", b"\xc3(", b"U" * 40 + b"D" * 40]
+# int text at and beside each bound, negative, not an int, and in other
+# digits (int reads "٣" as 3); in-range sizes are kept small, so
+# that no draw runs long: at most 8 for verify bijection, 12 for enumerate
+FUZZ_JUNK = ["-1", "x", "", "1.5", "٣"]
+FUZZ_COMMANDS = {
+    "map": {"--alphabet": ["ud", "ne", "xy"], "--json": None, "--trace": None},
+    "invert": {"--alphabet": ["ud", "ne"], "--json": None, "--trace": None},
+    "decompose": {"--alphabet": ["ud", "ne"], "--json": None},
+    "render": {
+        "--alphabet": ["ud", "ne"],
+        "--svg": ["-", "out.svg", "no/such/dir.svg"],
+        "--cell-size": ["0", "1", "2", "10", str(MAX_CELL_SIZE), str(MAX_CELL_SIZE + 1), *FUZZ_JUNK],
+        "--trace": ["forward", "inverse", "sideways"],
+        "--axes": None,
+    },
+    "verify bijection": {"--n": ["0", "1", "2", "5", "8", "13", "99", *FUZZ_JUNK], "--json": None},
+    "verify identity": {
+        "--n": ["0", "1", "2", "47", "48", "49", "9999", str(MAX_ARITHMETIC_N), str(MAX_ARITHMETIC_N + 1), *FUZZ_JUNK],
+        "--mode": ["arithmetic", "structural", "bijective"],
+        "--json": None,
+    },
+    "enumerate": {
+        "--len": ["0", "1", "2", "7", "11", "12", "31", *FUZZ_JUNK],
+        "--class": ["all", "balanced", "up", "down", "other", "none"],
+        "--alphabet": ["ud", "ne"],
+    },
+}
+REQUIRED = {"--n", "--len"}
+
+
+def fuzz_argv(rng, tmp_path):
+    """A subcommand and one command line for it: its path text, each flag
+    with a chance of a half (required ones nine in ten) and a drawn value,
+    then perhaps a token dropped, or one more token or `-h` added."""
+    command = rng.choice(sorted(FUZZ_COMMANDS))
+    argv = command.split()
+    if command in ("map", "invert", "decompose", "render"):
+        argv.append(rng.choice(FUZZ_TEXT))
+    for flag, values in FUZZ_COMMANDS[command].items():
+        if rng.random() < (0.9 if flag in REQUIRED else 0.5):
+            argv += [flag] if values is None else [flag, rng.choice(values)]
+            if flag == "--svg" and argv[-1] != "-":
+                argv[-1] = str(tmp_path / argv[-1])
+    roll = rng.random()
+    if roll < 0.1:
+        del argv[rng.randrange(len(argv))]
+    elif roll < 0.2:
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice([*FUZZ_TEXT, "-h"]))
+    return command.split()[0], argv
+
+
+def test_seeded_argv_fuzz(monkeypatch, tmp_path):
+    # every command line ends in 0 or 2, never in an uncaught exception
+    # (1 is a failed check or a failed stream, and neither happens here); a
+    # package error on 2 is one `error: Kind: message` line, and a usage
+    # error is argparse's usage and then one `error:` line
+    rng = random.Random(20231019)
+    outcomes = Counter()
+    for _ in range(400):
+        command, argv = fuzz_argv(rng, tmp_path)
+        stdin = io.TextIOWrapper(io.BytesIO(rng.choice(FUZZ_STDIN)), encoding="utf-8", errors="surrogateescape")
+        # stdout and stderr encode as a UTF-8 interpreter's do
+        out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", write_through=True)
+        err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="backslashreplace", write_through=True)
+        monkeypatch.setattr("sys.stdin", stdin)
+        monkeypatch.setattr("sys.stdout", out)
+        monkeypatch.setattr("sys.stderr", err)
+        try:
+            code, usage = main(argv), False
+        except SystemExit as exc:
+            code, usage = exc.code, True
+        out, err = out.buffer.getvalue().decode(), err.buffer.getvalue().decode()
+        assert code in (0, 2), (argv, code, err)
+        if code == 0:
+            outcome = "help" if usage else "ok"
+            assert err == "", (argv, err)
+        elif usage:
+            outcome = "usage"
+            *lines, last = err.splitlines()
+            assert out == "" and lines[0].startswith("usage: dyckflip"), (argv, err)
+            assert all(line.startswith(" ") for line in lines[1:]), (argv, err)
+            assert re.fullmatch(r"dyckflip( \w+)*: error: .+", last) and err.endswith("\n"), (argv, err)
+        else:
+            outcome = err.split(":")[1].strip()
+            assert out == "" and re.fullmatch(r"error: \w+: [^\n]+\n", err), (argv, err)
+        outcomes[command, outcome] += 1
+    # the draws reach every command's success, its package errors and usage errors
+    assert {command for command, outcome in outcomes if outcome == "ok"} == {c.split()[0] for c in FUZZ_COMMANDS}
+    kinds = {outcome for _, outcome in outcomes}
+    assert kinds >= {"help", "usage", "Parse", "Range", "NotBalanced", "FileNotFound"}, outcomes
 
 
 class TestTextOnlyStdout:

@@ -1,7 +1,7 @@
 """What a fresh interpreter loads. Inside pytest every module is imported
 already, so a deferred import that is missing, or one that loads numpy
-where it should not, shows only in a new process: each test here starts
-one."""
+where it should not, shows only in a new process: each test here but the
+last starts one."""
 
 import ast
 import json
@@ -108,12 +108,30 @@ def loads(*argv):
     return ast.literal_eval(proc.stdout)
 
 
+# runs one statement and prints the modules it loaded, sorted
+ADDED = "import sys; bare = set(sys.modules); {}; print(*sorted(set(sys.modules) - bare))"
+
+
+def added_by(statement):
+    proc = fresh("-c", ADDED.format(statement))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return proc.stdout.split()
+
+
 def test_cli_import_loads_no_json():
     # only the --json branches print JSON, and each imports json itself
-    proc = fresh("-c", "import sys; bare = set(sys.modules); import dyckflip.cli; print(*set(sys.modules) - bare)")
-    assert proc.returncode == 0, proc.stderr
-    added = proc.stdout.split()
+    added = added_by("import dyckflip.cli")
     assert "dyckflip.cli" in added and "json" not in added
+
+
+def test_cli_import_loads_the_root_and_cli_alone():
+    # the exceptions and MAX_CELL_SIZE, which cli imports, are the root's
+    assert [m for m in added_by("import dyckflip.cli") if m.split(".")[0] == "dyckflip"] == ["dyckflip", "dyckflip.cli"]
+
+
+def test_exceptions_and_cell_cap_load_no_submodule():
+    added = added_by("from dyckflip import RangeError, MAX_CELL_SIZE")
+    assert [m for m in added if m.split(".")[0] in ("dyckflip", "numpy")] == ["dyckflip"]
 
 
 def test_arithmetic_identity_loads_neither_numpy_nor_dataclasses():
@@ -185,3 +203,13 @@ def test_dir_lists_every_public_name_and_loads_no_numpy():
     listed, public, numpy = ast.literal_eval(proc.stdout)
     assert set(public) <= set(listed) and listed == sorted(listed)
     assert not numpy
+
+
+def test_dir_in_process():
+    # the same listing as above, in the suite's own process, where
+    # tests/line_cover.py sees `__dir__` run
+    import dyckflip
+
+    listed = dir(dyckflip)
+    assert listed == sorted(listed) and set(dyckflip.__all__) <= set(listed)
+    assert {"MAX_CELL_SIZE", "RangeError", "__version__"} <= set(listed)
